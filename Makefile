@@ -7,13 +7,20 @@ GO ?= go
 BASELINE ?= BENCH_2026-08-09.json
 CURRENT ?= experiments-manifest.json
 
-.PHONY: build test race vet vet-tags bench bench-snapshot bench-current chaos fleet-chaos check perf-gate perf-gate-check online-demo sources-demo health-demo dashboard-demo fleet-load fleet-demo
+.PHONY: build test bench-test race vet vet-tags bench bench-snapshot bench-current chaos fleet-chaos check perf-gate perf-gate-check online-demo sources-demo health-demo dashboard-demo fleet-load fleet-demo
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# bench-test runs the benchmark module's own tests (bench/ is a module
+# of its own, outside ./...): a smoke run of every workload with its
+# output checks on, and the check that repeated batches give identical
+# trace digests, so a simulator change that moves a trace byte fails.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The experiment runner (internal/runner) and the obs registry are
 # the repository's real concurrency; the race detector is part of the
@@ -71,7 +78,7 @@ fleet-chaos:
 		$(GO) test -race -count=1 -run 'TestFleetChaos|TestChaosCoordinatorKillExactlyOnce' \
 		-v ./internal/coord/
 
-check: build vet-tags race chaos fleet-chaos sources-demo health-demo dashboard-demo fleet-demo perf-gate-check
+check: build vet-tags race bench-test chaos fleet-chaos sources-demo health-demo dashboard-demo fleet-demo perf-gate-check
 
 # online-demo smoke-tests the online analysis engine end to end: a
 # short seeded sweep with -online, the /online handler curled while

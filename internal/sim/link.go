@@ -43,12 +43,13 @@ func (l *Link) SetDelay(d time.Duration) {
 }
 
 // Receive implements Receiver.
-func (l *Link) Receive(pkt *Packet) {
-	l.sched.After(l.delay, func() {
-		if l.next != nil {
-			l.next.Receive(pkt)
-		}
-	})
+func (l *Link) Receive(pkt *Packet) { l.sched.schedule(l.sched.now+l.delay, l, pkt) }
+
+// fire delivers pkt at the end of its propagation delay.
+func (l *Link) fire(pkt *Packet) {
+	if l.next != nil {
+		l.next.Receive(pkt)
+	}
 }
 
 // LossyLink drops each packet independently with probability P and

@@ -24,9 +24,10 @@ func NewMonitor(sched *Scheduler, q *Queue, interval, horizon time.Duration) *Mo
 }
 
 // Start schedules the first sample at the current time.
-func (m *Monitor) Start() { m.sched.At(m.sched.Now(), m.sample) }
+func (m *Monitor) Start() { m.sched.schedule(m.sched.Now(), m, nil) }
 
-func (m *Monitor) sample() {
+// fire records one sample and schedules the next.
+func (m *Monitor) fire(*Packet) {
 	n := m.queue.Len()
 	if m.queue.Busy() {
 		n++
@@ -36,7 +37,7 @@ func (m *Monitor) sample() {
 	if next > m.horizon {
 		return
 	}
-	m.sched.At(next, m.sample)
+	m.sched.schedule(next, m, nil)
 }
 
 // Samples returns the recorded backlog series (packets in system).

@@ -31,8 +31,12 @@ type Queue struct {
 	onDrop    DropFunc
 	onEnqueue EnqueueFunc
 
-	busy    bool
-	waiting []*Packet
+	busy bool
+	// The waiting room is a FIFO ring, grown on demand up to limit
+	// slots: head indexes the oldest of the n waiting packets.
+	ring []*Packet
+	head int
+	n    int
 
 	// Counters, exported through Stats.
 	arrived  int64
@@ -84,7 +88,7 @@ func (q *Queue) ServiceTime(size int) time.Duration {
 
 // Len reports the number of packets waiting (excluding the one in
 // service).
-func (q *Queue) Len() int { return len(q.waiting) }
+func (q *Queue) Len() int { return q.n }
 
 // Busy reports whether a packet is currently in service.
 func (q *Queue) Busy() bool { return q.busy }
@@ -101,38 +105,64 @@ func (q *Queue) Receive(pkt *Packet) {
 		}
 		return
 	}
-	if len(q.waiting) >= q.limit {
+	if q.n >= q.limit {
 		q.dropped++
 		if q.onDrop != nil {
 			q.onDrop(pkt, q.sched.Now())
 		}
 		return
 	}
-	q.waiting = append(q.waiting, pkt)
+	q.enqueue(pkt)
 	if q.onEnqueue != nil {
-		q.onEnqueue(pkt, q.sched.Now(), len(q.waiting)+1)
+		q.onEnqueue(pkt, q.sched.Now(), q.n+1)
 	}
+}
+
+func (q *Queue) enqueue(pkt *Packet) {
+	if q.n == len(q.ring) {
+		// Grow by doubling, capped at the buffer size, so a huge
+		// (ablation) buffer costs only what is actually used.
+		ring := make([]*Packet, min(max(2*len(q.ring), 8), q.limit))
+		for i := 0; i < q.n; i++ {
+			ring[i] = q.ring[(q.head+i)%len(q.ring)]
+		}
+		q.ring, q.head = ring, 0
+	}
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = pkt
+	q.n++
+}
+
+func (q *Queue) dequeue() *Packet {
+	pkt := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head++
+	if q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	return pkt
 }
 
 func (q *Queue) startService(pkt *Packet) {
 	q.busy = true
 	q.lastBusy = q.sched.Now()
-	q.sched.After(q.ServiceTime(pkt.Size), func() { q.finishService(pkt) })
+	q.sched.schedule(q.lastBusy+q.ServiceTime(pkt.Size), q, pkt)
 }
 
-func (q *Queue) finishService(pkt *Packet) {
+// fire finishes the service of pkt: it leaves for the next element and
+// the head of the waiting room, if any, enters service.
+func (q *Queue) fire(pkt *Packet) {
 	q.served++
 	q.busyTime += q.sched.Now() - q.lastBusy
 	if q.next != nil {
 		q.next.Receive(pkt)
 	}
-	if len(q.waiting) > 0 {
-		head := q.waiting[0]
-		// Shift rather than re-slice forever so the backing array
-		// does not grow without bound on long runs.
-		copy(q.waiting, q.waiting[1:])
-		q.waiting = q.waiting[:len(q.waiting)-1]
-		q.startService(head)
+	if q.n > 0 {
+		q.startService(q.dequeue())
 		return
 	}
 	q.busy = false

@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -30,39 +29,42 @@ type Receiver interface {
 	Receive(pkt *Packet)
 }
 
-// event is a single scheduled callback.
+// handler is what a scheduled event invokes. Link and Queue implement
+// it themselves, so a packet in flight or in service is an event
+// carrying the packet rather than a closure capturing it.
+type handler interface {
+	fire(pkt *Packet)
+}
+
+// funcHandler adapts the func() callbacks of At and After to handler.
+// A func value is one pointer word, so the conversion to the interface
+// allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) fire(*Packet) { f() }
+
+// event is a single scheduled callback, held by value in the heap.
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-break so equal-time events run in schedule order
-	fn  func()
+	h   handler
+	pkt *Packet // argument to h.fire; nil for func events
 }
 
-// eventHeap is a min-heap of events ordered by (at, seq).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+// earlier orders events by (at, seq). seq is unique per Scheduler, so
+// the order is total and the pop sequence does not depend on the heap
+// layout.
+func earlier(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// Scheduler owns virtual time and the pending event set. The zero
-// value is ready to use.
+// Scheduler owns virtual time and the pending event set, a binary
+// min-heap of events ordered by (at, seq). The zero value is ready to
+// use.
 type Scheduler struct {
 	now        time.Duration
 	seq        uint64
-	pending    eventHeap
+	pending    []event
 	stopped    bool
 	executed   uint64
 	maxPending int
@@ -76,19 +78,68 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // At schedules fn to run at virtual time at. Scheduling in the past is
 // a programming error and panics: it would silently reorder causality.
-func (s *Scheduler) At(at time.Duration, fn func()) {
+func (s *Scheduler) At(at time.Duration, fn func()) { s.schedule(at, funcHandler(fn), nil) }
+
+// After schedules fn to run d from now. Negative d panics via At.
+func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
+
+// schedule is the one path every event enters the heap by.
+func (s *Scheduler) schedule(at time.Duration, h handler, pkt *Packet) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.pending, event{at: at, seq: s.seq, fn: fn})
+	s.push(event{at: at, seq: s.seq, h: h, pkt: pkt})
 	if len(s.pending) > s.maxPending {
 		s.maxPending = len(s.pending)
 	}
 }
 
-// After schedules fn to run d from now. Negative d panics via At.
-func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
+func (s *Scheduler) push(ev event) {
+	h := append(s.pending, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !earlier(&ev, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	s.pending = h
+}
+
+// pop removes and returns the earliest event. The vacated slot is
+// cleared so the heap's spare capacity does not keep packets alive.
+func (s *Scheduler) pop() event {
+	h := s.pending
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && earlier(&h[r], &h[c]) {
+				c = r
+			}
+			if !earlier(&h[c], &last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	s.pending = h
+	return top
+}
 
 // Stop makes Run return after the currently executing event.
 func (s *Scheduler) Stop() { s.stopped = true }
@@ -96,20 +147,20 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Run executes events in time order until no events remain, the
 // horizon is passed, or Stop is called. It returns the number of
 // events executed. Events scheduled exactly at the horizon still run.
+// The clock then advances to the horizon, unless Stop left an event at
+// or before the horizon pending: it stays at the stopping event, so a
+// later Run resumes without time going backwards.
 func (s *Scheduler) Run(horizon time.Duration) int {
 	s.stopped = false
 	n := 0
-	for len(s.pending) > 0 && !s.stopped {
-		if s.pending[0].at > horizon {
-			break
-		}
-		ev := heap.Pop(&s.pending).(event)
+	for len(s.pending) > 0 && !s.stopped && s.pending[0].at <= horizon {
+		ev := s.pop()
 		s.now = ev.at
-		ev.fn()
+		ev.h.fire(ev.pkt)
 		n++
 	}
 	s.executed += uint64(n)
-	if s.now < horizon {
+	if s.now < horizon && (len(s.pending) == 0 || s.pending[0].at > horizon) {
 		s.now = horizon
 	}
 	return n

@@ -94,11 +94,45 @@ func TestSchedulerPanicsOnPastEvent(t *testing.T) {
 func TestSchedulerStop(t *testing.T) {
 	s := NewScheduler()
 	ran := 0
-	s.At(1*time.Millisecond, func() { ran++; s.Stop() })
-	s.At(2*time.Millisecond, func() { ran++ })
+	var times []time.Duration
+	s.At(1*time.Millisecond, func() { ran++; times = append(times, s.Now()); s.Stop() })
+	s.At(2*time.Millisecond, func() { ran++; times = append(times, s.Now()) })
 	s.Run(time.Second)
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1 after Stop", ran)
+	}
+	// The clock stays at the stopping event while an earlier-than-
+	// horizon event is pending, so scheduling between the two is legal.
+	if s.Now() != time.Millisecond {
+		t.Fatalf("now = %v after Stop, want 1ms", s.Now())
+	}
+	s.At(3*time.Millisecond, func() { ran++; times = append(times, s.Now()) })
+	if n := s.Run(time.Second); n != 2 {
+		t.Fatalf("resumed Run executed %d events, want 2", n)
+	}
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
+	if len(times) != len(want) {
+		t.Fatalf("events ran at %v, want %v", times, want)
+	}
+	for i := range want {
+		if times[i] != want[i] {
+			t.Fatalf("events ran at %v, want %v (time must be monotone)", times, want)
+		}
+	}
+	if s.Now() != time.Second {
+		t.Fatalf("now = %v after the resumed Run, want 1s", s.Now())
+	}
+}
+
+func TestSchedulerStopOnLastEventAdvancesToHorizon(t *testing.T) {
+	s := NewScheduler()
+	s.At(time.Millisecond, s.Stop)
+	s.At(2*time.Second, func() {})
+	s.Run(time.Second)
+	// Nothing at or before the horizon is left, so stopping changes
+	// nothing about where the clock ends up.
+	if s.Now() != time.Second {
+		t.Fatalf("now = %v, want 1s", s.Now())
 	}
 }
 

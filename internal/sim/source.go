@@ -57,10 +57,11 @@ func (p *PeriodicSource) Start() {
 	if p.count <= 0 {
 		return
 	}
-	p.sched.At(p.start, p.emit)
+	p.sched.schedule(p.start, p, nil)
 }
 
-func (p *PeriodicSource) emit() {
+// fire emits one probe and schedules the next emission.
+func (p *PeriodicSource) fire(*Packet) {
 	now := p.sched.Now()
 	pkt := p.factory.New(p.flow, p.sent, p.size, now)
 	pkt.Probe = true
@@ -73,6 +74,6 @@ func (p *PeriodicSource) emit() {
 		p.next.Receive(pkt)
 	}
 	if p.sent < p.count {
-		p.sched.After(p.delta, p.emit)
+		p.sched.schedule(now+p.delta, p, nil)
 	}
 }

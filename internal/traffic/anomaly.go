@@ -26,6 +26,7 @@ type PeriodicBurst struct {
 	horizon time.Duration
 	out     sim.Receiver
 	seq     int
+	fireFn  func() // p.fire, bound once so scheduling allocates nothing
 }
 
 // NewPeriodicBurst returns a source that, every period starting at
@@ -37,7 +38,7 @@ func NewPeriodicBurst(sched *sim.Scheduler, factory *sim.Factory, flow string, s
 	if count <= 0 || size <= 0 {
 		panic(fmt.Sprintf("traffic: periodic burst %q: bad count %d or size %d", flow, count, size))
 	}
-	return &PeriodicBurst{
+	p := &PeriodicBurst{
 		sched:   sched,
 		factory: factory,
 		flow:    flow,
@@ -48,6 +49,8 @@ func NewPeriodicBurst(sched *sim.Scheduler, factory *sim.Factory, flow string, s
 		horizon: horizon,
 		out:     out,
 	}
+	p.fireFn = p.fire
+	return p
 }
 
 // Start implements Generator.
@@ -55,7 +58,7 @@ func (p *PeriodicBurst) Start() {
 	if p.start > p.horizon {
 		return
 	}
-	p.sched.At(p.start, p.fire)
+	p.sched.At(p.start, p.fireFn)
 }
 
 func (p *PeriodicBurst) fire() {
@@ -68,7 +71,7 @@ func (p *PeriodicBurst) fire() {
 	if next > p.horizon {
 		return
 	}
-	p.sched.At(next, p.fire)
+	p.sched.At(next, p.fireFn)
 }
 
 // Modulated is a Poisson source whose rate is modulated sinusoidally
@@ -88,6 +91,7 @@ type Modulated struct {
 	out     sim.Receiver
 	rng     *rand.Rand
 	seq     int
+	emitFn  func() // m.emit, bound once so scheduling allocates nothing
 }
 
 // NewModulated returns a modulated source: the instantaneous mean gap
@@ -99,7 +103,7 @@ func NewModulated(sched *sim.Scheduler, factory *sim.Factory, flow string, size 
 	if depth < 0 || depth >= 1 {
 		panic(fmt.Sprintf("traffic: modulated %q: depth %v out of [0,1)", flow, depth))
 	}
-	return &Modulated{
+	m := &Modulated{
 		sched:   sched,
 		factory: factory,
 		flow:    flow,
@@ -111,6 +115,8 @@ func NewModulated(sched *sim.Scheduler, factory *sim.Factory, flow string, size 
 		out:     out,
 		rng:     rand.New(rand.NewSource(seed)),
 	}
+	m.emitFn = m.emit
+	return m
 }
 
 // Start implements Generator.
@@ -125,10 +131,12 @@ func (m *Modulated) scheduleNext() {
 	if at > m.horizon {
 		return
 	}
-	m.sched.At(at, func() {
-		pkt := m.factory.New(m.flow, m.seq, m.size, m.sched.Now())
-		m.seq++
-		m.out.Receive(pkt)
-		m.scheduleNext()
-	})
+	m.sched.At(at, m.emitFn)
+}
+
+func (m *Modulated) emit() {
+	pkt := m.factory.New(m.flow, m.seq, m.size, m.sched.Now())
+	m.seq++
+	m.out.Receive(pkt)
+	m.scheduleNext()
 }

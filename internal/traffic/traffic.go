@@ -100,6 +100,7 @@ type Poisson struct {
 	rng     *rand.Rand
 	horizon time.Duration
 	seq     int
+	emitFn  func() // p.emit, bound once so scheduling allocates nothing
 }
 
 // NewPoisson returns a Poisson source for flow, emitting size-byte
@@ -108,7 +109,7 @@ func NewPoisson(sched *sim.Scheduler, factory *sim.Factory, flow string, size in
 	if meanGap <= 0 {
 		panic(fmt.Sprintf("traffic: poisson %q: non-positive mean gap %v", flow, meanGap))
 	}
-	return &Poisson{
+	p := &Poisson{
 		sched:   sched,
 		factory: factory,
 		flow:    flow,
@@ -118,6 +119,8 @@ func NewPoisson(sched *sim.Scheduler, factory *sim.Factory, flow string, size in
 		rng:     rand.New(rand.NewSource(seed)),
 		horizon: horizon,
 	}
+	p.emitFn = p.emit
+	return p
 }
 
 // Start implements Generator.
@@ -129,12 +132,14 @@ func (p *Poisson) scheduleNext() {
 	if at > p.horizon {
 		return
 	}
-	p.sched.At(at, func() {
-		pkt := p.factory.New(p.flow, p.seq, p.size, p.sched.Now())
-		p.seq++
-		p.out.Receive(pkt)
-		p.scheduleNext()
-	})
+	p.sched.At(at, p.emitFn)
+}
+
+func (p *Poisson) emit() {
+	pkt := p.factory.New(p.flow, p.seq, p.size, p.sched.Now())
+	p.seq++
+	p.out.Receive(pkt)
+	p.scheduleNext()
 }
 
 // Bulk models an FTP-like transfer source: it alternates between idle
@@ -156,6 +161,11 @@ type Bulk struct {
 	rng       *rand.Rand
 	horizon   time.Duration
 	seq       int
+	remaining int // packets of the current train still to emit
+
+	// b.startTrain and b.emitTrain, bound once so scheduling
+	// allocates nothing.
+	startFn, emitFn func()
 }
 
 // NewBulk returns a bulk-transfer source. size is the data packet wire
@@ -166,7 +176,7 @@ func NewBulk(sched *sim.Scheduler, factory *sim.Factory, flow string, size int, 
 	if accessBps <= 0 {
 		panic(fmt.Sprintf("traffic: bulk %q: non-positive access rate %d", flow, accessBps))
 	}
-	return &Bulk{
+	b := &Bulk{
 		sched:     sched,
 		factory:   factory,
 		flow:      flow,
@@ -178,6 +188,8 @@ func NewBulk(sched *sim.Scheduler, factory *sim.Factory, flow string, size int, 
 		rng:       rand.New(rand.NewSource(seed)),
 		horizon:   horizon,
 	}
+	b.startFn, b.emitFn = b.startTrain, b.emitTrain
+	return b
 }
 
 // Start implements Generator.
@@ -192,20 +204,19 @@ func (b *Bulk) scheduleTransfer() {
 	if at > b.horizon {
 		return
 	}
-	b.sched.At(at, func() {
-		n := int(b.train.Sample(b.rng))
-		if n < 1 {
-			n = 1
-		}
-		b.emitTrain(n)
-	})
+	b.sched.At(at, b.startFn)
 }
 
-func (b *Bulk) emitTrain(remaining int) {
+func (b *Bulk) startTrain() {
+	b.remaining = max(int(b.train.Sample(b.rng)), 1)
+	b.emitTrain()
+}
+
+func (b *Bulk) emitTrain() {
 	pkt := b.factory.New(b.flow, b.seq, b.size, b.sched.Now())
 	b.seq++
 	b.out.Receive(pkt)
-	if remaining <= 1 {
+	if b.remaining <= 1 {
 		b.scheduleTransfer()
 		return
 	}
@@ -214,7 +225,8 @@ func (b *Bulk) emitTrain(remaining int) {
 	if b.sched.Now()+gap > b.horizon {
 		return
 	}
-	b.sched.After(gap, func() { b.emitTrain(remaining - 1) })
+	b.remaining--
+	b.sched.After(gap, b.emitFn)
 }
 
 // Interactive models Telnet-like traffic: small packets with

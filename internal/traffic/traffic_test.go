@@ -221,3 +221,45 @@ func TestDistNonNegativeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every generator binds its event handlers once: an emission allocates
+// the packet and nothing else.
+func TestGeneratorsAllocateOnlyThePacket(t *testing.T) {
+	const horizon = 1000 * time.Hour
+	gens := map[string]func(*sim.Scheduler, *sim.Factory, sim.Receiver) Generator{
+		"poisson": func(s *sim.Scheduler, f *sim.Factory, out sim.Receiver) Generator {
+			return NewPoisson(s, f, "telnet", 40, time.Millisecond, horizon, 1, out)
+		},
+		"bulk": func(s *sim.Scheduler, f *sim.Factory, out sim.Receiver) Generator {
+			return NewBulk(s, f, "ftp", 512, 10_000_000, Exp(0.01), Geometric(5), horizon, 1, out)
+		},
+		"modulated": func(s *sim.Scheduler, f *sim.Factory, out sim.Receiver) Generator {
+			return NewModulated(s, f, "diurnal", 512, time.Millisecond, 0.5, time.Second, horizon, 1, out)
+		},
+		"periodic-burst": func(s *sim.Scheduler, f *sim.Factory, out sim.Receiver) Generator {
+			return NewPeriodicBurst(s, f, "debug", 512, 1, time.Millisecond, 0, horizon, out)
+		},
+	}
+	// Each Run stops after the tenth delivery, so a stray allocation
+	// on only some emissions (e.g. all but the last of a Bulk train)
+	// still shows in the integer allocs-per-run average.
+	const perRun = 10
+	for name, newGen := range gens {
+		s := sim.NewScheduler()
+		var f sim.Factory
+		var sink *sim.Sink
+		sink = sim.NewSink(s, func(*sim.Packet, time.Duration) {
+			if sink.Count()%perRun == 0 {
+				s.Stop()
+			}
+		})
+		newGen(s, &f, sink).Start()
+		allocs := testing.AllocsPerRun(100, func() { s.Run(horizon) })
+		if sink.Count() != 101*perRun {
+			t.Fatalf("%s: emitted %d packets, want %d", name, sink.Count(), 101*perRun)
+		}
+		if allocs > perRun {
+			t.Errorf("%s: %v allocs per %d emitted packets, want ≤ %d", name, allocs, perRun, perRun)
+		}
+	}
+}
