@@ -58,10 +58,13 @@ bench-snapshot:
 # faults, at any worker count), the sharded-vs-single online
 # equivalence suite under a chaos fault plan, and the coordinator
 # lifecycle tests (retries, disconnect re-queues) over real loopback
-# control connections.
+# control connections. It then fuzzes the JSONL trace encoder against
+# encoding/json for a few seconds (FuzzJSONLEncode: arbitrary strings,
+# extreme integers, non-finite and boundary floats).
 chaos:
 	$(GO) test -race -count=1 ./internal/faultinject/... ./internal/pipestat/... \
 		./internal/online/... ./internal/coord/...
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONLEncode$$' -fuzztime 5s ./internal/otrace/
 
 # fleet-chaos is the full-fleet chaos soak (coord.RunChaos): a journaled
 # coordinator, agents, and a relay on loopback, with a seeded schedule

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// The wire hot paths carry every probe event of a relayed run, so
-// their per-event allocation budgets are pinned: a regression here
-// turns into GC pressure exactly where the measurement plane is
-// supposed to be invisible. (The file is excluded under -race, which
+// The wire and JSONL hot paths carry every probe event of a relayed or
+// traced run, so their per-event allocation budgets are pinned: a
+// regression here turns into GC pressure exactly where the measurement
+// plane is supposed to be invisible. (The file is excluded under -race, which
 // instruments allocations.)
 
 func wireEvent() Event {
@@ -44,6 +44,27 @@ func TestFrameWriterAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("FrameWriter.WriteEvent allocates %.1f per event, want 0", n)
+	}
+}
+
+// TestWriterEmitAllocs: the JSONL Writer encodes into a record buffer
+// it reuses, so a steady-state Emit allocates nothing — neither for a
+// bare rtt event nor for an enqueue event with string fields.
+func TestWriterEmitAllocs(t *testing.T) {
+	for _, ev := range []Event{
+		wireEvent(),
+		{T: 98765, Ev: KindEnqueue, Seq: 17, Queue: "hop4", Dir: "fwd", QLen: 3},
+	} {
+		w := NewWriter(io.Discard)
+		w.Emit(ev) // warm the record buffer
+		if n := testing.AllocsPerRun(1000, func() {
+			w.Emit(ev)
+		}); n != 0 {
+			t.Errorf("Writer.Emit(%s) allocates %.1f per event, want 0", ev.Ev, n)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -213,6 +213,10 @@ type Writer struct {
 	err error
 	n   atomic.Int64
 
+	// line is the JSONL record buffer, reused by every Emit under mu so
+	// steady-state encoding allocates nothing.
+	line []byte
+
 	// fw, when non-nil, switches the Writer to binary wire framing (the
 	// ".otr" archive format): events go through a FrameWriter instead of
 	// the JSONL encoder. Wire mode is single-segment — rotation counts
@@ -231,9 +235,14 @@ type Writer struct {
 	paths    []string
 }
 
+// writeBufSize is the JSONL write buffer of plain and rotating
+// Writers. A traced sweep writes hundreds of megabytes of JSONL, and
+// bufio's 4 KiB default would cost one write syscall per ~25 events.
+const writeBufSize = 64 << 10
+
 // NewWriter returns a Writer streaming to w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w)}
+	return &Writer{bw: bufio.NewWriterSize(w, writeBufSize)}
 }
 
 // Create opens (truncating) a trace file at path and returns a Writer
@@ -319,7 +328,7 @@ func (w *Writer) openSegment() error {
 		return fmt.Errorf("otrace: %w", err)
 	}
 	zw := gzip.NewWriter(f)
-	w.bw = bufio.NewWriter(zw)
+	w.bw = bufio.NewWriterSize(zw, writeBufSize)
 	w.c = closerFunc(func() error {
 		if err := zw.Close(); err != nil {
 			f.Close() //nolint:errcheck // gzip error takes precedence
@@ -366,17 +375,19 @@ func (w *Writer) Emit(ev Event) {
 		w.emitWire(ev)
 		return
 	}
-	data, err := json.Marshal(ev)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return
 	}
+	line, err := appendJSON(w.line[:0], &ev)
 	if err != nil {
-		w.err = fmt.Errorf("otrace: marshal event: %w", err)
+		w.err = fmt.Errorf("otrace: encode event: %w", err)
 		return
 	}
-	rec := int64(len(data)) + 1
+	line = append(line, '\n')
+	w.line = line
+	rec := int64(len(line))
 	if w.maxBytes > 0 && w.written > 0 && w.written+rec > w.maxBytes {
 		if err := w.closeSegment(); err != nil {
 			w.err = err
@@ -388,11 +399,7 @@ func (w *Writer) Emit(ev Event) {
 			return
 		}
 	}
-	if _, err := w.bw.Write(data); err != nil {
-		w.err = fmt.Errorf("otrace: write event: %w", err)
-		return
-	}
-	if err := w.bw.WriteByte('\n'); err != nil {
+	if _, err := w.bw.Write(line); err != nil {
 		w.err = fmt.Errorf("otrace: write event: %w", err)
 		return
 	}
@@ -538,20 +545,21 @@ func (b *Bounded) Close() error {
 }
 
 // Discard is a Sink that ignores every event — the sink of last
-// resort for code that requires a non-nil Sink.
+// resort for code that requires a non-nil Sink. Multi drops it.
 var Discard Sink = discardSink{}
 
 type discardSink struct{}
 
 func (discardSink) Emit(Event) {}
 
-// Multi returns a Sink forwarding every event to each non-nil sink in
-// order. Nil sinks are dropped; with zero non-nil sinks it returns
-// nil, with one it returns that sink unwrapped.
+// Multi returns a Sink forwarding every event to each remaining sink
+// in order. Nil sinks and Discard are dropped, so a composition that
+// would only throw events away is nil and producers can skip building
+// them; with one remaining sink Multi returns it unwrapped.
 func Multi(sinks ...Sink) Sink {
 	out := make(multiSink, 0, len(sinks))
 	for _, s := range sinks {
-		if s != nil {
+		if s != nil && s != Discard {
 			out = append(out, s)
 		}
 	}

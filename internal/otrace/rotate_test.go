@@ -122,6 +122,15 @@ func TestMulti(t *testing.T) {
 	if s := Multi(&a, nil); s != Sink(&a) {
 		t.Errorf("Multi of one sink should unwrap")
 	}
+	// Discard is dropped like nil: composing it in costs nothing, and a
+	// composition of nothing but Discard is nil, so producers skip
+	// building events nobody keeps.
+	if s := Multi(Discard, nil); s != nil {
+		t.Errorf("Multi(Discard, nil) = %v, want nil", s)
+	}
+	if s := Multi(&a, Discard); s != Sink(&a) {
+		t.Errorf("Multi(&a, Discard) = %v, want &a unwrapped", s)
+	}
 	m := Multi(&a, nil, &b)
 	m.Emit(Event{Ev: KindRTT})
 	m.Emit(Event{Ev: KindRTT})

@@ -648,6 +648,9 @@ func runSource(ctx context.Context, src source.Source, seed int64, sink otrace.S
 	if s, ok := src.(source.Seedable); ok {
 		s.SetSeed(seed)
 	}
+	// Sources require a sink. Discard is also a marker: SimSource and
+	// ProbeSource compose it away (otrace.Multi drops it), so an
+	// untraced job attaches no trace hooks at all.
 	if sink == nil {
 		sink = otrace.Discard
 	}

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -33,11 +34,43 @@ func buildTool(t *testing.T, dir, pkg string) string {
 	return bin
 }
 
+// lockedBuffer collects a child process's output. exec's copy
+// goroutine writes into it while the test polls it, so every access
+// takes the mutex (a bare bytes.Buffer would race).
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// waitOutput polls out until it contains substr, failing the test if
+// that takes longer than timeout.
+func waitOutput(t *testing.T, out *lockedBuffer, substr string, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !strings.Contains(out.String(), substr) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %q in output after %v:\n%s", substr, timeout, out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // terminate delivers SIGTERM and waits for the process to exit,
 // returning its combined output.
-func terminate(t *testing.T, cmd *exec.Cmd, out *bytes.Buffer, after time.Duration) string {
+func terminate(t *testing.T, cmd *exec.Cmd, out *lockedBuffer) string {
 	t.Helper()
-	time.Sleep(after)
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("signal: %v", err)
 	}
@@ -78,12 +111,13 @@ func TestGracefulShutdownProbe(t *testing.T) {
 		"-target", echo.Addr().String(),
 		"-delta", "20ms", "-count", "3000", "-report", "0",
 		"-trace", events, "-out", csv)
-	var out bytes.Buffer
+	var out lockedBuffer
 	cmd.Stdout, cmd.Stderr = &out, &out
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stdout := terminate(t, cmd, &out, 2*time.Second)
+	time.Sleep(2 * time.Second)
+	stdout := terminate(t, cmd, &out)
 	if !strings.Contains(stdout, "interrupted by signal") {
 		t.Errorf("no interruption notice in output:\n%s", stdout)
 	}
@@ -133,17 +167,21 @@ func TestGracefulShutdownExperiments(t *testing.T) {
 	bin := buildTool(t, dir, "cmd/experiments")
 	manifest := filepath.Join(dir, "manifest.json")
 	traces := filepath.Join(dir, "traces")
-	// One worker serializes the sweep so the signal is guaranteed to
-	// land before the last job has been dispatched.
+	// One worker serializes the sweep. The signal goes out as soon as
+	// the first job reports done — observed progress rather than a
+	// fixed delay, which a faster batch could outrun — so at least one
+	// job has completed and the later ones have not been dispatched.
 	cmd := exec.Command(bin,
 		"-quick", "-workers", "1", "-seed", "42",
 		"-manifest", manifest, "-trace-dir", traces)
-	var out bytes.Buffer
+	var out lockedBuffer
 	cmd.Stdout, cmd.Stderr = &out, &out
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stdout := terminate(t, cmd, &out, 1500*time.Millisecond)
+	defer cmd.Process.Kill() //nolint:errcheck // no-op once the process has exited
+	waitOutput(t, &out, `msg="job done"`, 60*time.Second)
+	stdout := terminate(t, cmd, &out)
 	if !strings.Contains(stdout, "interrupted") {
 		t.Errorf("no interruption notice in output:\n%s", stdout)
 	}
