@@ -58,12 +58,14 @@ bench-snapshot:
 # faults, at any worker count), the sharded-vs-single online
 # equivalence suite under a chaos fault plan, and the coordinator
 # lifecycle tests (retries, disconnect re-queues) over real loopback
-# control connections. It then fuzzes the JSONL trace encoder against
+# control connections, and the source layer, whose Sender writes from
+# a flush goroutine of its own (coalescing, short writes, redial
+# accounting). It then fuzzes the JSONL trace encoder against
 # encoding/json for a few seconds (FuzzJSONLEncode: arbitrary strings,
 # extreme integers, non-finite and boundary floats).
 chaos:
 	$(GO) test -race -count=1 ./internal/faultinject/... ./internal/pipestat/... \
-		./internal/online/... ./internal/coord/...
+		./internal/online/... ./internal/coord/... ./internal/source/...
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLEncode$$' -fuzztime 5s ./internal/otrace/
 
 # fleet-chaos is the full-fleet chaos soak (coord.RunChaos): a journaled

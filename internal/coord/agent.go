@@ -257,6 +257,13 @@ func agentSession(ctx context.Context, conn net.Conn, cfg AgentConfig, buf *rese
 		case otrace.KindCtrlAck:
 			buf.ack(ev.Job)
 		case otrace.KindCtrlJob:
+			if err := sctx.Err(); err != nil {
+				// The agent is stopping and its read deadline is on the way.
+				// A job accepted now would only fail on the cancelled
+				// context and spend one of its attempts; leaving it lets the
+				// coordinator re-queue it when this connection drops.
+				return err
+			}
 			id, spec := jobFromEvent(ev)
 			send.Emit(acceptEvent(id))
 			cfg.Logf("agent %s: job %s accepted", cfg.Name, id)

@@ -459,6 +459,9 @@ func (c *Coordinator) dispatch() {
 }
 
 func (c *Coordinator) dispatchLocked() {
+	if c.killed {
+		return // a crashed process dispatches nothing
+	}
 	now := time.Now().UnixNano()
 	for i := 0; i < len(c.queue); {
 		id := c.queue[i]
@@ -486,10 +489,12 @@ func (c *Coordinator) dispatchLocked() {
 		j.startedNs = now
 		a.running[id] = true
 		c.journalLocked(dispatchRecord(id, a.name, j.attempts))
-		// The frame write happens under c.mu: control frames are ~100
-		// bytes and agents drain their sockets, so this never blocks in
-		// practice; serializing it keeps the job table and the wire in the
-		// same order.
+		// Emit does not write the socket under c.mu: it queues the frame
+		// for the Sender's flush goroutine, which writes frames in Emit
+		// order, so the job table and the wire stay in the same order.
+		// Err thus reports only the failure of an earlier flush; a
+		// failure of this frame is caught by the connection's read loop
+		// (disconnect) or by the next dispatch.
 		a.send.Emit(jobEvent(id, j.spec))
 		if a.send.Err() != nil {
 			c.retireLocked(a, "agent send failed")
@@ -544,6 +549,12 @@ func (c *Coordinator) markAccepted(a *agentConn, id string) {
 func (c *Coordinator) complete(a *agentConn, ev otrace.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.killed {
+		// A crashed process acks nothing: the settlement could not be
+		// journaled, so the agent must keep the report to resend it to
+		// the recovered coordinator.
+		return
+	}
 	a.send.Emit(ackEvent(ev.Job))
 	delete(a.running, ev.Job)
 	j := c.jobs[ev.Job]
@@ -993,10 +1004,11 @@ func (c *Coordinator) Close() error {
 
 // Kill is Close with SIGKILL semantics, for crash testing: no journal
 // writes happen after it (the re-queues a graceful shutdown would
-// record are lost, exactly as if the process died), agent connections
-// are torn down abruptly, and the journal is abandoned mid-stream
-// without a flush. Recovery must rebuild the table from the journal's
-// durable prefix alone.
+// record are lost, exactly as if the process died), frames still
+// being read trigger no dispatch or ack, agent connections are torn
+// down abruptly, and the journal is abandoned mid-stream without a
+// flush. Recovery must rebuild the table from the journal's durable
+// prefix alone.
 func (c *Coordinator) Kill() {
 	c.shutdown(true) //nolint:errcheck // crash simulation
 }

@@ -264,9 +264,8 @@ const WireExt = ".otr"
 
 // NewWireWriter returns a Writer streaming binary wire frames to w
 // (see wire.go) instead of JSONL. Like the JSONL Writer it serializes
-// Emit with a mutex and buffers until Close; unlike the relay path it
-// does not flush per event, so an archive writer pays one syscall per
-// buffer, not per frame.
+// Emit with a mutex and buffers until Close, so an archive writer pays
+// one syscall per buffer, not per frame.
 func NewWireWriter(w io.Writer) *Writer {
 	return &Writer{fw: NewFrameWriter(w)}
 }

@@ -87,6 +87,32 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// AppendStreamHeader appends the magic that opens a framed stream.
+func AppendStreamHeader(buf []byte) []byte { return append(buf, wireMagic[:]...) }
+
+// AppendFrame appends ev to buf as one frame: the uvarint payload
+// length, then the AppendEvent payload. An event whose payload exceeds
+// MaxFrame is an error, and buf is returned unchanged.
+func AppendFrame(buf []byte, ev Event) ([]byte, error) {
+	// Reserve one length byte, encode in place, and widen the prefix in
+	// the rare case the payload needs more; a payload under 128 bytes —
+	// nearly every event — is written once, without a scratch buffer.
+	start := len(buf)
+	buf = AppendEvent(append(buf, 0), ev)
+	n := len(buf) - start - 1
+	if n > MaxFrame {
+		return buf[:start], fmt.Errorf("otrace: frame of %d bytes exceeds MaxFrame", n)
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	ln := binary.PutUvarint(prefix[:], uint64(n))
+	if ln > 1 {
+		buf = append(buf, prefix[1:ln]...) // grow by the extra prefix bytes
+		copy(buf[start+ln:], buf[start+1:start+1+n])
+	}
+	copy(buf[start:], prefix[:ln])
+	return buf, nil
+}
+
 // DecodeEvent decodes one binary-encoded event, requiring that data
 // holds exactly one event (trailing bytes are an error — a framing bug,
 // not a compatible extension).
@@ -186,15 +212,12 @@ func (d *decoder) string() string {
 // (WriteEvent does not flush, so a caller batching events pays one
 // syscall per Flush, not per event). FrameWriter is not safe for
 // concurrent use — wrap it in a Sink that serializes (see
-// internal/source.Sender).
+// NewWireWriter). internal/source.Sender, which coalesces frames for a
+// flush goroutine of its own, builds them with AppendFrame instead.
 type FrameWriter struct {
 	bw  *bufio.Writer
 	buf []byte
-	// lenBuf holds each frame's length prefix; a struct field rather
-	// than a local so escape analysis doesn't heap-allocate it on every
-	// WriteEvent (it is passed to bufio's io.Writer interface).
-	lenBuf [binary.MaxVarintLen64]byte
-	n      int64
+	n   int64
 }
 
 // NewFrameWriter starts a framed stream on w, buffering the magic
@@ -207,13 +230,9 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 
 // WriteEvent appends one frame to the buffer.
 func (f *FrameWriter) WriteEvent(ev Event) error {
-	f.buf = AppendEvent(f.buf[:0], ev)
-	if len(f.buf) > MaxFrame {
-		return fmt.Errorf("otrace: frame of %d bytes exceeds MaxFrame", len(f.buf))
-	}
-	ln := binary.PutUvarint(f.lenBuf[:], uint64(len(f.buf)))
-	if _, err := f.bw.Write(f.lenBuf[:ln]); err != nil {
-		return fmt.Errorf("otrace: write frame: %w", err)
+	var err error
+	if f.buf, err = AppendFrame(f.buf[:0], ev); err != nil {
+		return err
 	}
 	if _, err := f.bw.Write(f.buf); err != nil {
 		return fmt.Errorf("otrace: write frame: %w", err)

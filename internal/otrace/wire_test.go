@@ -219,3 +219,45 @@ func TestBoundedCounted(t *testing.T) {
 type sinkFunc func(Event)
 
 func (f sinkFunc) Emit(ev Event) { f(ev) }
+
+// TestAppendFrameLengthPrefix: AppendFrame writes the same bytes as
+// FrameWriter for payloads whose length prefix takes one, two and three
+// bytes, appends after existing content, and refuses an oversized
+// event without touching the buffer.
+func TestAppendFrameLengthPrefix(t *testing.T) {
+	var evs []Event
+	for _, n := range []int{0, 100, 130, 20_000} {
+		evs = append(evs, Event{Ev: KindRTT, Seq: n, Name: string(bytes.Repeat([]byte{'x'}, n))})
+	}
+	var want bytes.Buffer
+	fw := NewFrameWriter(&want)
+	got := AppendStreamHeader(nil)
+	for _, ev := range evs {
+		if err := fw.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if got, err = AppendFrame(got, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := NewFrameReader(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range evs {
+		if back, err := fr.Next(); err != nil || back != ev {
+			t.Fatalf("frame %d: decoded %v, err %v", i, back.Seq, err)
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("AppendFrame bytes differ from FrameWriter's")
+	}
+	huge := Event{Name: string(make([]byte, MaxFrame))}
+	if out, err := AppendFrame(got, huge); err == nil || len(out) != len(got) {
+		t.Fatalf("oversized frame: err %v, buffer %d → %d bytes", err, len(got), len(out))
+	}
+}

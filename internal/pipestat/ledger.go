@@ -228,16 +228,6 @@ func (s stageSink) Emit(ev otrace.Event) {
 	s.next.Emit(ev)
 }
 
-// Observe records an applied-stage lag observation for events that
-// reach a terminal outside a Sink wrapper (the Monitor calls this from
-// the engine dispatch loop).
-func (c *Chain) Observe(stage string, ev otrace.Event) {
-	if ev.Stamp == 0 {
-		return
-	}
-	c.ledger.reg.Histogram(obs.Label("pipeline.lag", "chain", c.name, "stage", stage), nil).Observe(LagSeconds(ev))
-}
-
 func sumSources(list []counterSource) (int64, map[string]int64) {
 	if len(list) == 0 {
 		return 0, nil

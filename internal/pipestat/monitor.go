@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"netprobe/internal/obs"
 	"netprobe/internal/otrace"
 )
 
@@ -19,6 +20,7 @@ import (
 // Snapshot, Applied, and Jobs may be called concurrently.
 type Monitor struct {
 	chain *Chain
+	lag   *obs.Histogram // pipeline.lag{chain=,stage=applied}
 
 	mu      sync.Mutex
 	applied int64
@@ -37,7 +39,11 @@ type jobState struct {
 // installed the chain's books close at the engine. The produced side
 // is the chain's Produce head (or an explicit Produced registration).
 func NewMonitor(chain *Chain) *Monitor {
-	m := &Monitor{chain: chain, jobs: make(map[string]*jobState)}
+	m := &Monitor{
+		chain: chain,
+		lag:   chain.ledger.reg.Histogram(obs.Label("pipeline.lag", "chain", chain.name, "stage", StageApplied), nil),
+		jobs:  make(map[string]*jobState),
+	}
 	chain.Applied("analyzers", m.Applied)
 	return m
 }
@@ -48,7 +54,10 @@ func (m *Monitor) Name() string { return "pipeline" }
 // HandleEvent implements online.Analyzer: counts the event as applied,
 // observes its dispatch lag, and updates the job liveness table.
 func (m *Monitor) HandleEvent(ev otrace.Event) {
-	m.chain.Observe(StageApplied, ev)
+	now := Now()
+	if ev.Stamp != 0 {
+		m.lag.Observe(lagSeconds(now, ev.Stamp))
+	}
 	key := "default"
 	if ev.Job != "" {
 		key = ev.Job
@@ -62,7 +71,7 @@ func (m *Monitor) HandleEvent(ev otrace.Event) {
 		m.order = append(m.order, key)
 	}
 	j.events++
-	j.lastNs = Now()
+	j.lastNs = now
 	if ev.Ev == otrace.KindJobFinish {
 		j.finalized = true
 	}

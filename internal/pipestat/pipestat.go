@@ -50,7 +50,7 @@ const (
 	StageBusEnqueued = "bus_enqueued"
 	// StageApplied is dispatch into the online analyzers (the Monitor).
 	StageApplied = "applied"
-	// StageWireSent is the frame write onto a relay connection.
+	// StageWireSent is the hand-off to a relay connection's Sender.
 	StageWireSent = "wire_sent"
 	// StageRelayReceived is ingress at the relay (events are re-stamped
 	// there: wall clocks do not transfer between hosts, so cross-host
@@ -79,9 +79,13 @@ func LagSeconds(ev otrace.Event) float64 {
 	if ev.Stamp == 0 {
 		return 0
 	}
-	d := Now() - ev.Stamp
-	if d < 0 {
+	return lagSeconds(Now(), ev.Stamp)
+}
+
+// lagSeconds is now − stamp in seconds, floored at zero.
+func lagSeconds(now, stamp int64) float64 {
+	if now < stamp {
 		return 0
 	}
-	return float64(d) / float64(time.Second)
+	return float64(now-stamp) / float64(time.Second)
 }

@@ -212,3 +212,24 @@ func TestMonitor(t *testing.T) {
 		t.Fatalf("snapshot job order wrong: %+v", snap.Jobs)
 	}
 }
+
+// TestMonitorLagAndAllocs: the Monitor observes stamped events into
+// pipeline.lag{chain=,stage=applied} — unstamped ones count but add no
+// sample — and handling an event of a job it has seen allocates nothing.
+func TestMonitorLagAndAllocs(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := pipestat.NewMonitor(pipestat.NewLedger(reg).Chain("online"))
+	stamped := otrace.Event{Ev: otrace.KindRTT, Job: "a", Stamp: pipestat.Now()}
+	m.HandleEvent(stamped)
+	m.HandleEvent(otrace.Event{Ev: otrace.KindRTT, Job: "a"})
+	lag := reg.Histogram(obs.Label("pipeline.lag", "chain", "online", "stage", pipestat.StageApplied), nil)
+	if lag.Count() != 1 {
+		t.Fatalf("lag histogram has %d samples, want 1 (unstamped events skipped)", lag.Count())
+	}
+	if a := testing.AllocsPerRun(1000, func() { m.HandleEvent(stamped) }); a != 0 {
+		t.Fatalf("HandleEvent: %v allocs, want 0", a)
+	}
+	if lag.Count() != 1002 || m.Applied() != 1003 {
+		t.Fatalf("after the alloc runs: %d lag samples, %d applied", lag.Count(), m.Applied())
+	}
+}

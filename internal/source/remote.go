@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,30 +26,53 @@ import (
 // a local engine would.
 
 // Sender streams events over an io.Writer as binary frames. It
-// implements otrace.Sink: Emit is serialized by a mutex and flushes
-// each frame promptly so a live consumer sees events as they happen.
+// implements otrace.Sink. Emit appends the event's frame to a pending
+// buffer under a mutex and returns without a syscall; one flush
+// goroutine writes everything pending in a single Write. The flusher
+// starts when a frame lands in an idle Sender and exits once nothing is
+// pending, so a lone event leaves as soon as the flusher runs, a burst
+// leaves in one write, and an idle Sender holds no goroutine. Pending
+// bytes are bounded by pendingMax: at the bound Emit waits for the
+// write in flight, so a stalled peer stalls the producer instead of
+// growing memory. Producers whose pacing must not wait on the network
+// (the real prober) should wrap a Sender in otrace.NewBounded.
+//
 // Write errors are sticky by default — after the first failure Emit
 // becomes a no-op and Close reports the error — so a dead relay
 // degrades a run to a local-only one instead of failing it. DialAuto
 // opts into recovery instead: a broken stream is re-dialed in the
 // background with jittered exponential backoff (the netdyn.Supervise
-// shape), and events flow again on the new connection. Producers whose
-// pacing must not wait on the network (the real prober) should wrap a
-// Sender in otrace.NewBounded.
+// shape), and events flow again on the new connection, which opens
+// with its own magic header. Frames leave in Emit order, and no frame
+// crosses from one stream to the next.
 //
-// Every Emit lands in exactly one of two accounts: Sent (the frame and
-// its flush succeeded) or Dropped (the stream was dead, closed,
-// redialing, or died on this write) — the conservation property the
-// pipeline ledger audits (internal/pipestat), which holds across any
-// number of reconnections. Heartbeats (StartHeartbeats) are plumbing,
-// not events, and count in neither.
+// Every Emit lands in exactly one of two accounts, Sent or Dropped —
+// the conservation property the pipeline ledger audits
+// (internal/pipestat), which holds across any number of reconnections.
+// A frame counts as Sent when its batch is handed to Write, so Sent
+// never lags bytes the peer can read. If the write fails or is short,
+// the frames that did not fully leave move from Sent to Dropped, as do
+// the frames still pending for that stream; an Emit on a dead, closed
+// or redialing stream is Dropped at once. The stream therefore holds
+// exactly Sent complete frames. Heartbeats (StartHeartbeats) share the
+// buffer but are plumbing, not events, and count in neither.
 type Sender struct {
 	mu     sync.Mutex
-	fw     *otrace.FrameWriter
+	wake   sync.Cond // on mu: pending gained room, or a flush ended
+	w      io.Writer // the current stream; nil while redialing
 	c      io.Closer
 	err    error
 	closed bool
 	hbStop chan struct{}
+
+	// pending holds the frames not yet handed to w, in Emit order, and
+	// ends the end offset in pending of each counted event frame. The
+	// flusher swaps them with batch/batchEnds for its write, so steady
+	// state reuses both pairs.
+	pending, batch  []byte
+	ends, batchEnds []int
+	flushing        bool   // a flusher goroutine owns the write side
+	flushFn         func() // s.flush, bound once so starting it does not allocate
 
 	// Auto-redial state (nil redial = classic sticky-error Sender).
 	redial    *Redial
@@ -60,13 +84,22 @@ type Sender struct {
 	dropped atomic.Int64
 }
 
+// pendingMax bounds the bytes a Sender holds for its flusher (plus at
+// most one frame): about four thousand typical events.
+const pendingMax = 256 << 10
+
+func newSender() *Sender {
+	s := &Sender{}
+	s.wake.L = &s.mu
+	s.flushFn = s.flush
+	return s
+}
+
 // NewSender starts a framed event stream on w. If w is also an
 // io.Closer, Close closes it.
 func NewSender(w io.Writer) *Sender {
-	s := &Sender{fw: otrace.NewFrameWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
+	s := newSender()
+	s.attach(w)
 	return s
 }
 
@@ -129,7 +162,8 @@ func DialAuto(addr string, r Redial) *Sender {
 	if r.Logf == nil {
 		r.Logf = func(string, ...any) {}
 	}
-	s := &Sender{redial: &r, stopc: make(chan struct{})}
+	s := newSender()
+	s.redial, s.stopc = &r, make(chan struct{})
 	if w, err := r.Dial(); err == nil {
 		s.attach(w)
 	} else {
@@ -140,10 +174,12 @@ func DialAuto(addr string, r Redial) *Sender {
 	return s
 }
 
-// attach points the Sender at a fresh stream. Callers either hold s.mu
-// or own the Sender exclusively (constructor).
+// attach points the Sender at a fresh stream, whose first write will
+// carry the magic header. Callers either hold s.mu or own the Sender
+// exclusively (constructor).
 func (s *Sender) attach(w io.Writer) {
-	s.fw = otrace.NewFrameWriter(w)
+	s.w = w
+	s.pending = otrace.AppendStreamHeader(s.pending[:0])
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	} else {
@@ -157,7 +193,8 @@ func (s *Sender) Redials() int64 { return s.redials.Load() }
 
 // fail records a stream error. With redial configured it also retires
 // the dead stream and starts (at most one) background reconnect loop;
-// otherwise the error is sticky, as ever. Callers hold s.mu.
+// otherwise the error is sticky, as ever. Callers hold s.mu and have
+// already dropped the stream's pending frames.
 func (s *Sender) fail(err error) {
 	s.err = err
 	if s.redial == nil || s.closed || s.redialing {
@@ -167,7 +204,7 @@ func (s *Sender) fail(err error) {
 		s.c.Close() //nolint:errcheck // stream already broken
 		s.c = nil
 	}
-	s.fw = nil
+	s.w = nil
 	s.redialing = true
 	s.redial.Logf("source: stream broken, redialing: %v", err)
 	go s.reconnectLoop()
@@ -211,41 +248,95 @@ func (s *Sender) reconnectLoop() {
 // Emit implements otrace.Sink.
 func (s *Sender) Emit(ev otrace.Event) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.writeLocked(ev) {
-		s.sent.Add(1)
-	} else {
+	if !s.enqueueLocked(ev, true) {
 		s.dropped.Add(1)
 	}
+	s.mu.Unlock()
 }
 
-// writeLocked frames and flushes one event, reporting whether it made
-// it onto the stream. Callers hold s.mu.
-func (s *Sender) writeLocked(ev otrace.Event) bool {
-	if s.err != nil || s.closed || s.fw == nil {
+// enqueueLocked appends ev's frame to pending — waiting while pending is
+// at its bound — and starts a flusher if none is running. It reports
+// false when the stream cannot take the frame: closed, failed,
+// redialing, or an event over otrace.MaxFrame. counted marks an event
+// frame (Sent/Dropped) as opposed to a heartbeat. Callers hold s.mu.
+func (s *Sender) enqueueLocked(ev otrace.Event, counted bool) bool {
+	for s.writableLocked() && len(s.pending) >= pendingMax {
+		s.wake.Wait()
+	}
+	if !s.writableLocked() {
 		return false
 	}
-	if err := s.fw.WriteEvent(ev); err != nil {
-		s.fail(err)
+	buf, err := otrace.AppendFrame(s.pending, ev)
+	if err != nil {
 		return false
 	}
-	if err := s.fw.Flush(); err != nil {
-		// The frame may have partially left the buffer, but the stream is
-		// now broken: account it as dropped — the receiver's FrameReader
-		// discards a truncated trailing frame, so the conservative account
-		// matches what the far side can actually apply.
-		s.fail(err)
-		return false
+	s.pending = buf
+	if counted {
+		s.ends = append(s.ends, len(buf))
+	}
+	if !s.flushing {
+		s.flushing = true
+		go s.flushFn()
 	}
 	return true
 }
 
-// Sent reports how many events were framed and flushed successfully.
+func (s *Sender) writableLocked() bool {
+	return s.w != nil && s.err == nil && !s.closed
+}
+
+// flush is the flusher goroutine: it writes pending batches until none
+// is left or the stream fails, then exits.
+func (s *Sender) flush() {
+	s.mu.Lock()
+	s.drainLocked()
+	s.flushing = false
+	s.wake.Broadcast()
+	s.mu.Unlock()
+}
+
+// drainLocked writes pending to the stream, one batch per Write, until
+// nothing is pending or the stream fails. The caller holds s.mu and
+// owns the write side (s.flushing); the lock is released during each
+// Write so Emit keeps appending to the next batch meanwhile.
+func (s *Sender) drainLocked() {
+	for len(s.pending) > 0 && s.w != nil && s.err == nil {
+		w, batch, ends := s.w, s.pending, s.ends
+		s.pending, s.ends = s.batch[:0], s.batchEnds[:0]
+		// Count before the write: once Write starts, the peer may read
+		// these frames before Write returns.
+		s.sent.Add(int64(len(ends)))
+		s.wake.Broadcast() // pending has room again
+		s.mu.Unlock()
+		n, err := w.Write(batch)
+		s.mu.Lock()
+		s.batch, s.batchEnds = batch, ends
+		if err == nil && n < len(batch) {
+			err = io.ErrShortWrite
+		}
+		if err == nil {
+			continue
+		}
+		// Frames that did not fully leave, and every frame still pending
+		// for this dead stream, are dropped: the receiver's FrameReader
+		// discards a truncated trailing frame, so the stream holds
+		// exactly Sent complete frames.
+		lost := int64(len(ends) - sort.SearchInts(ends, n+1))
+		s.sent.Add(-lost)
+		s.dropped.Add(lost + int64(len(s.ends)))
+		s.pending, s.ends = s.pending[:0], s.ends[:0]
+		s.fail(fmt.Errorf("source: write frames: %w", err))
+	}
+}
+
+// Sent reports how many events have been handed to the stream in
+// complete frames (see Sender for exactly when they are counted).
 func (s *Sender) Sent() int64 { return s.sent.Load() }
 
 // Dropped reports how many Emit calls were discarded because the
 // stream was closed or had failed. Sent+Dropped equals the number of
-// Emit calls, exactly — including calls racing Close.
+// Emit calls, exactly, whenever nothing is pending — in particular once
+// Close has returned, including for calls that raced it.
 func (s *Sender) Dropped() int64 { return s.dropped.Load() }
 
 // StartHeartbeats emits a KindHeartbeat frame every interval until the
@@ -275,8 +366,8 @@ func (s *Sender) StartHeartbeats(interval time.Duration) {
 				return
 			case <-t.C:
 				s.mu.Lock()
-				s.writeLocked(otrace.Event{Ev: otrace.KindHeartbeat, Seq: -1,
-					SentNs: time.Now().UnixNano()})
+				s.enqueueLocked(otrace.Event{Ev: otrace.KindHeartbeat, Seq: -1,
+					SentNs: time.Now().UnixNano()}, false)
 				s.mu.Unlock()
 			}
 		}
@@ -291,10 +382,11 @@ func (s *Sender) Err() error {
 	return s.err
 }
 
-// Close stops the heartbeats and any reconnect loop, flushes the
-// stream, closes the underlying connection if the Sender owns one, and
+// Close stops the heartbeats and any reconnect loop, writes whatever is
+// pending, closes the underlying connection if the Sender owns one, and
 // returns the first error encountered. Emits after Close count as
-// dropped.
+// dropped; once Close returns, Sent+Dropped covers every Emit that
+// returned before it.
 func (s *Sender) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,11 +401,14 @@ func (s *Sender) Close() error {
 	if s.stopc != nil {
 		close(s.stopc)
 	}
-	if s.fw != nil {
-		if err := s.fw.Flush(); err != nil && s.err == nil {
-			s.err = err
-		}
+	s.wake.Broadcast() // Emits waiting for room give up
+	for s.flushing {
+		s.wake.Wait()
 	}
+	// No flusher ran if nothing but the magic header is pending.
+	s.flushing = true
+	s.drainLocked()
+	s.flushing = false
 	if s.c != nil {
 		if err := s.c.Close(); err != nil && s.err == nil {
 			s.err = err
