@@ -7,7 +7,7 @@ GO ?= go
 BASELINE ?= BENCH_2026-08-09.json
 CURRENT ?= experiments-manifest.json
 
-.PHONY: build test bench-test race vet vet-tags bench bench-snapshot bench-current chaos fleet-chaos check perf-gate perf-gate-check online-demo sources-demo health-demo dashboard-demo fleet-load fleet-demo
+.PHONY: build test bench-test race vet vet-tags fmt bench bench-snapshot bench-current chaos fleet-chaos check perf-gate perf-gate-check online-demo sources-demo health-demo dashboard-demo fleet-load fleet-demo
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file, bench/ included, is not gofmt-formatted,
+# and lists the offenders.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 # The tag matrix: the pure-Go network/user-lookup builds are how the
 # netdyn commands are cross-compiled for probe boxes, so vet must stay
@@ -83,7 +88,7 @@ fleet-chaos:
 		$(GO) test -race -count=1 -run 'TestFleetChaos|TestChaosCoordinatorKillExactlyOnce' \
 		-v ./internal/coord/
 
-check: build vet-tags race bench-test chaos fleet-chaos sources-demo health-demo dashboard-demo fleet-demo perf-gate-check
+check: build fmt vet-tags race bench-test chaos fleet-chaos sources-demo health-demo dashboard-demo fleet-demo perf-gate-check
 
 # online-demo smoke-tests the online analysis engine end to end: a
 # short seeded sweep with -online, the /online handler curled while
@@ -174,6 +179,8 @@ fleet-load:
 # 4-shard relay, a coordinator with a three-spec jobs file (two sim
 # jobs, one real probe job against a local echo server), and three
 # agents that register, execute, and stream tagged events to the relay.
+# inria-50 and lab-probe carry a small fault plan, so both agent fault
+# paths run: the impaired simulated path and the impaired probe socket.
 # Asserts every job completes (coordinator exits 0 from -wait), the
 # coordinator's /statusz shows the settled job table during -linger,
 # the relay's merged /online carries the per-job rows, the per-shard
@@ -191,8 +198,8 @@ fleet-demo:
 	@$(GO) build -o /tmp/netprobe-probe ./cmd/netdyn-probe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	printf '%s\n' '[{"name":"inria-20","mode":"sim","target":"inria","delta":"20ms","duration":"5s","seed":1},' \
-		' {"name":"inria-50","mode":"sim","target":"inria","delta":"50ms","duration":"5s","seed":2},' \
-		' {"name":"lab-probe","mode":"probe","target":"$(FLEET_ECHO)","delta":"10ms","count":100,"seed":3}]' \
+		' {"name":"inria-50","mode":"sim","target":"inria","delta":"50ms","duration":"5s","seed":2,"faults":"{\"seed\":2,\"drop\":0.05}"},' \
+		' {"name":"lab-probe","mode":"probe","target":"$(FLEET_ECHO)","delta":"10ms","count":100,"seed":3,"faults":"{\"seed\":3,\"drop\":0.05}"}]' \
 		> $$tmp/jobs.json; \
 	/tmp/netprobe-echo -addr $(FLEET_ECHO) -quiet & \
 	epid=$$!; \

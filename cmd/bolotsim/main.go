@@ -177,28 +177,24 @@ func main() {
 		chain.Dropped("bus", bus.Dropped)
 		opts = append(opts, runner.Sink(chain.Produce(bus)))
 	}
-	var sender *source.Sender
+	closeRelay := func() error { return nil }
 	if *relay != "" {
-		var err error
-		if sender, err = source.Dial(*relay); err != nil {
+		sender, err := source.Dial(*relay)
+		if err != nil {
 			log.Fatal(err)
 		}
 		// The runner tags events with each job's label, so the relay's
 		// analyzers bucket them exactly like a local -online run. The
 		// wire branch keeps its own books: every tapped event ends up
 		// sent or dropped (sticky stream errors), never lost silently.
-		chain := pipestat.Default.Chain("wire")
-		chain.Applied("sender", sender.Sent)
-		chain.Dropped("sender", sender.Dropped)
-		sender.StartHeartbeats(2 * time.Second)
-		opts = append(opts, runner.Sink(chain.Produce(chain.Stage(pipestat.StageWireSent, sender))))
+		sink, closer := source.Uplink(pipestat.Default.Chain("wire"), sender, false)
+		opts = append(opts, runner.Sink(sink))
+		closeRelay = closer
 		slog.Info("relaying events", "to", *relay)
 	}
 	results, summary := runner.RunAll(context.Background(), *seed, jobs, opts...)
-	if sender != nil {
-		if err := sender.Close(); err != nil {
-			slog.Warn("relay stream incomplete", "err", err)
-		}
+	if err := closeRelay(); err != nil {
+		slog.Warn("relay stream incomplete", "err", err)
 	}
 	if eng != nil {
 		bus.Close()

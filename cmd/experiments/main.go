@@ -39,7 +39,8 @@
 // job-tagged events to a netdyn-relay collector over TCP, which then
 // computes the identical analysis remotely.
 //
-// -job-timeout bounds each simulation's wall-clock time and -retries
+// -job-timeout sets each simulation's wall-clock limit. It cannot stop
+// a simulation mid-run, but a job that runs past it fails. -retries
 // redispatches failed or timed-out jobs (same derived seed, so a
 // successful retry is byte-identical to a first-attempt success; the
 // manifest records the attempt count).
@@ -103,7 +104,7 @@ var (
 	relay = flag.String("relay", "",
 		"stream job events to a netdyn-relay collector at this address; empty disables")
 	jobTimeout = flag.Duration("job-timeout", 0,
-		"per-job wall-clock limit; timed-out jobs fail (and are retried under -retries); 0 = no limit")
+		"per-job wall-clock limit; a simulation runs to completion, but one that runs past it fails (and is retried under -retries); 0 = no limit")
 	retries = flag.Int("retries", 0,
 		"additional attempts for failed or timed-out jobs (same derived seed; manifests record the attempt count)")
 	obsFlags    = obs.RegisterFlags(flag.CommandLine)
@@ -273,26 +274,22 @@ func runAll(ctx context.Context, dur, longDur time.Duration) (map[string]*core.T
 		chain.Dropped("bus", onlineBus.Dropped)
 		opts = append(opts, runner.Sink(chain.Produce(onlineBus)))
 	}
-	var sender *source.Sender
+	closeRelay := func() error { return nil }
 	if *relay != "" {
-		var err error
-		if sender, err = source.Dial(*relay); err != nil {
+		sender, err := source.Dial(*relay)
+		if err != nil {
 			log.Fatal(err)
 		}
 		// The wire branch keeps its own books: every tapped event ends
 		// up sent or dropped (sticky stream errors), never lost silently.
-		chain := pipestat.Default.Chain("wire")
-		chain.Applied("sender", sender.Sent)
-		chain.Dropped("sender", sender.Dropped)
-		sender.StartHeartbeats(2 * time.Second)
-		opts = append(opts, runner.Sink(chain.Produce(chain.Stage(pipestat.StageWireSent, sender))))
+		sink, closer := source.Uplink(pipestat.Default.Chain("wire"), sender, false)
+		opts = append(opts, runner.Sink(sink))
+		closeRelay = closer
 		slog.Info("relaying events", "to", *relay)
 	}
 	results, summary := runner.RunAll(ctx, *seed, jobs, opts...)
-	if sender != nil {
-		if err := sender.Close(); err != nil {
-			slog.Warn("relay stream incomplete", "err", err)
-		}
+	if err := closeRelay(); err != nil {
+		slog.Warn("relay stream incomplete", "err", err)
 	}
 	if onlineEng != nil {
 		onlineBus.Close()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -22,8 +21,9 @@ import (
 
 // Agent mode: instead of running one probe session from flags, the
 // process registers with a netdyn-coord coordinator and executes the
-// job specs it pushes — "probe" jobs as real netdyn sessions against
-// the spec's target, "sim" jobs as simulator runs of the named preset.
+// job specs it pushes, each as a source.Source — "probe" jobs as real
+// netdyn sessions against the spec's target (source.ProbeSource), "sim"
+// jobs as simulator runs of the named preset (source.SimSource).
 // Each job's lifecycle events stream to the -relay collector tagged
 // with the job's instance id, so the relay's online analyzers bucket
 // the whole fleet per job. The relay connection auto-redials
@@ -47,24 +47,18 @@ func runAgentMode(coordAddr, name string, capacity int, heartbeat time.Duration,
 				slog.Warn(fmt.Sprintf(format, args...))
 			},
 		})
-		chain := pipestat.Default.Chain("wire")
-		chain.Applied("sender", sender.Sent)
-		chain.Dropped("sender", sender.Dropped)
-		sender.StartHeartbeats(2 * time.Second)
-		b := otrace.NewBounded(chain.Stage(pipestat.StageWireSent, sender), 4096)
-		chain.Dropped("queue", b.Dropped)
-		sink = chain.Produce(b)
+		var closeRelay func() error
+		sink, closeRelay = source.Uplink(pipestat.Default.Chain("wire"), sender, true)
 		slog.Info("relaying job events", "to", relay)
 		defer func() {
-			b.Close() //nolint:errcheck // always nil
-			if err := sender.Close(); err != nil {
+			if err := closeRelay(); err != nil {
 				slog.Warn("relay stream incomplete", "err", err)
 			}
 		}()
 	}
 
-	// A -faults plan on the agent command line applies to every probe
-	// job the agent runs; a plan inside a job spec overrides it.
+	// A -faults plan on the agent command line applies to every job
+	// the agent runs; a plan inside a job spec overrides it.
 	var defaultPlan *faultinject.Plan
 	if faultsPath != "" {
 		p, err := faultinject.Load(faultsPath)
@@ -95,7 +89,7 @@ func runAgentMode(coordAddr, name string, capacity int, heartbeat time.Duration,
 	return err
 }
 
-// executeJob dispatches one pushed job spec to its executor.
+// executeJob runs one pushed job spec as a Source streaming into sink.
 func executeJob(ctx context.Context, spec coord.Spec, sink otrace.Sink,
 	defaultPlan *faultinject.Plan) (coord.Result, error) {
 	plan := defaultPlan
@@ -106,98 +100,77 @@ func executeJob(ctx context.Context, spec coord.Spec, sink otrace.Sink,
 		}
 		plan = p
 	}
-	switch spec.Mode {
-	case "sim":
-		return executeSimJob(spec, sink, plan)
-	case "probe", "":
-		return executeProbeJob(ctx, spec, sink, plan)
-	default:
-		return coord.Result{}, fmt.Errorf("unknown job mode %q", spec.Mode)
-	}
-}
-
-// executeSimJob runs a simulator job: Target names a core preset.
-// The simulation is virtual-time and typically finishes in
-// milliseconds, so it does not watch ctx.
-func executeSimJob(spec coord.Spec, sink otrace.Sink, plan *faultinject.Plan) (coord.Result, error) {
-	preset, ok := core.PresetByName(spec.Target)
-	if !ok {
-		return coord.Result{}, fmt.Errorf("unknown sim preset %q", spec.Target)
-	}
-	delta := spec.Delta.D()
-	if delta <= 0 {
-		delta = 50 * time.Millisecond
-	}
-	cfg := preset.Config(delta, spec.Duration.D(), spec.Seed)
-	if spec.Count > 0 {
-		cfg.Count = spec.Count
-	}
-	if spec.PayloadBytes > 0 {
-		cfg.PayloadSize = spec.PayloadBytes
-	}
-	cfg.Faults = plan
-	cfg.Metrics = obs.Default
-	cfg.Trace = sink
-	tr, err := core.RunSim(cfg)
+	src, err := specSource(spec, plan, sink)
 	if err != nil {
 		return coord.Result{}, err
 	}
+	if err := src.Run(ctx, sink); err != nil {
+		return coord.Result{}, err
+	}
+	tr := src.(source.Traced).Trace()
 	return coord.Result{Probes: tr.Len(), Losses: tr.Len() - tr.Received()}, nil
 }
 
-// executeProbeJob runs a real netdyn session against the spec's
-// target, supervised (transient errors retried, outages recorded as
-// gaps). The job's ctx aborts it — agent shutdown or a coordinator
-// loss ends the session gracefully with partial results.
-func executeProbeJob(ctx context.Context, spec coord.Spec, sink otrace.Sink,
-	plan *faultinject.Plan) (coord.Result, error) {
-	if spec.Target == "" {
-		return coord.Result{}, fmt.Errorf("probe job has no target")
-	}
+// specSource builds the Source a job spec describes. A "sim" job runs
+// the core preset named by Target; it is virtual-time, finishes in
+// milliseconds, and checks ctx only before it starts. A "probe" job
+// (the default mode) is a supervised netdyn session against Target:
+// transient errors are retried, outages recorded as gaps, and the
+// job's ctx ends it gracefully with partial results. plan impairs the
+// simulated path or the probe socket; the socket's faults are emitted
+// into sink.
+func specSource(spec coord.Spec, plan *faultinject.Plan, sink otrace.Sink) (source.Source, error) {
 	delta := spec.Delta.D()
 	if delta <= 0 {
 		delta = 50 * time.Millisecond
 	}
-	n := spec.Count
-	if n == 0 {
-		dur := spec.Duration.D()
-		if dur <= 0 {
-			dur = 10 * time.Minute
+	switch spec.Mode {
+	case "sim":
+		preset, ok := core.PresetByName(spec.Target)
+		if !ok {
+			return nil, fmt.Errorf("unknown sim preset %q", spec.Target)
 		}
-		n = int(dur / delta)
-	}
-	cfg := netdyn.ProbeConfig{
-		Target:      spec.Target,
-		Delta:       delta,
-		Count:       n,
-		PayloadSize: spec.PayloadBytes,
-		Context:     ctx,
-		Metrics:     obs.Default,
-		Trace:       sink,
-		Supervise:   &netdyn.SuperviseConfig{},
-	}
-	if plan != nil {
-		open := func() (net.PacketConn, error) {
-			inner, err := net.ListenPacket("udp", "")
+		cfg := preset.Config(delta, spec.Duration.D(), spec.Seed)
+		if spec.Count > 0 {
+			cfg.Count = spec.Count
+		}
+		if spec.PayloadBytes > 0 {
+			cfg.PayloadSize = spec.PayloadBytes
+		}
+		cfg.Faults = plan
+		cfg.Metrics = obs.Default
+		return &source.SimSource{Config: cfg}, nil
+	case "probe", "":
+		if spec.Target == "" {
+			return nil, fmt.Errorf("probe job has no target")
+		}
+		n := spec.Count
+		if n == 0 {
+			dur := spec.Duration.D()
+			if dur <= 0 {
+				dur = 10 * time.Minute
+			}
+			n = int(dur / delta)
+		}
+		cfg := netdyn.ProbeConfig{
+			Target:      spec.Target,
+			Delta:       delta,
+			Count:       n,
+			PayloadSize: spec.PayloadBytes,
+			Metrics:     obs.Default,
+			Supervise:   &netdyn.SuperviseConfig{},
+		}
+		if plan != nil {
+			open := faultSocket(plan, sink)
+			conn, err := open()
 			if err != nil {
 				return nil, err
 			}
-			return faultinject.WrapPacketConn(inner, plan,
-				faultinject.WithSeq(netdyn.PacketSeq),
-				faultinject.WithSink(sink),
-				faultinject.WithRegistry(obs.Default)), nil
+			cfg.Conn = conn
+			cfg.Supervise.Redial = open
 		}
-		conn, err := open()
-		if err != nil {
-			return coord.Result{}, err
-		}
-		cfg.Conn = conn
-		cfg.Supervise.Redial = open // recreated sockets stay impaired
+		return &source.ProbeSource{Config: cfg}, nil
+	default:
+		return nil, fmt.Errorf("unknown job mode %q", spec.Mode)
 	}
-	d, err := netdyn.ProbeDetailed(cfg)
-	if err != nil {
-		return coord.Result{}, err
-	}
-	tr := d.Trace
-	return coord.Result{Probes: tr.Len(), Losses: tr.Len() - tr.Received()}, nil
 }

@@ -253,28 +253,15 @@ func run(cfg netdyn.ProbeConfig, bus *online.Bus, eng *online.Engine, store *tsh
 			return err
 		}
 		// Tagged like the local bus so the relay's analyzers key this
-		// prober by its target; bounded so a stalled relay can only
-		// lose events, never delay probe pacing — and every loss lands
-		// in the wire chain's books (queue drops or sender drops). The
-		// wire_sent stage tap, sitting past the queue, records how far
-		// frame writes lag the probe that caused them. Heartbeats keep
-		// the relay's staleness and clock-skew tracking fed between
-		// probes.
-		chain := pipestat.Default.Chain("wire")
-		chain.Applied("sender", sender.Sent)
-		chain.Dropped("sender", sender.Dropped)
-		sender.StartHeartbeats(2 * time.Second)
-		b := otrace.NewBounded(online.Tag(chain.Stage(pipestat.StageWireSent, sender), cfg.Target, 0), 4096)
-		chain.Dropped("queue", b.Dropped)
-		sinks = append(sinks, chain.Produce(b))
+		// prober by its target. The uplink is open-loop: a stalled relay
+		// can only lose events, never delay probe pacing, and every loss
+		// lands in the wire chain's books (queue drops or sender drops).
+		sink, closeRelay := source.Uplink(pipestat.Default.Chain("wire"), sender, true)
+		sinks = append(sinks, online.Tag(sink, cfg.Target, 0))
 		slog.Info("relaying events", "to", relay)
 		defer func() {
-			b.Close() //nolint:errcheck // always nil
-			if err := sender.Close(); err != nil {
+			if err := closeRelay(); err != nil {
 				slog.Warn("relay stream incomplete", "err", err)
-			}
-			if d := b.Dropped(); d > 0 {
-				slog.Warn("relay stream incomplete", "dropped", d)
 			}
 		}()
 	}
@@ -284,21 +271,10 @@ func run(cfg netdyn.ProbeConfig, bus *online.Bus, eng *online.Engine, store *tsh
 		if err != nil {
 			return err
 		}
-		open := func() (net.PacketConn, error) {
-			inner, err := net.ListenPacket("udp", "")
-			if err != nil {
-				return nil, err
-			}
-			return faultinject.WrapPacketConn(inner, plan,
-				faultinject.WithSeq(netdyn.PacketSeq),
-				faultinject.WithSink(cfg.Trace),
-				faultinject.WithRegistry(obs.Default)), nil
-		}
-		conn, err := open()
-		if err != nil {
+		open := faultSocket(plan, cfg.Trace)
+		if cfg.Conn, err = open(); err != nil {
 			return err
 		}
-		cfg.Conn = conn
 		if cfg.Supervise != nil {
 			// Recreated sockets stay impaired: the plan survives redials.
 			cfg.Supervise.Redial = open
@@ -353,4 +329,21 @@ func run(cfg netdyn.ProbeConfig, bus *online.Bus, eng *online.Engine, store *tsh
 		fmt.Printf("trace written to %s\n", out)
 	}
 	return nil
+}
+
+// faultSocket returns an opener of UDP sockets impaired by plan, with
+// every injected fault emitted into sink. It opens a session's first
+// socket and serves as its Supervise.Redial, so recreated sockets stay
+// impaired.
+func faultSocket(plan *faultinject.Plan, sink otrace.Sink) func() (net.PacketConn, error) {
+	return func() (net.PacketConn, error) {
+		inner, err := net.ListenPacket("udp", "")
+		if err != nil {
+			return nil, err
+		}
+		return faultinject.WrapPacketConn(inner, plan,
+			faultinject.WithSeq(netdyn.PacketSeq),
+			faultinject.WithSink(sink),
+			faultinject.WithRegistry(obs.Default)), nil
+	}
 }

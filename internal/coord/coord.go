@@ -14,11 +14,11 @@
 // family of ctrl_* event kinds): one framing layer, one reader, one
 // versioning story.
 //
-//	          control (ctrl_* frames)              data (probe events)
-//	 ┌───────────┐  job specs ↓  ┌───────┐  tagged events  ┌───────┐
-//	 │netdyn-coord│ ───────────→ │ agent │ ──────────────→ │ relay │
-//	 └───────────┘  ←─ register, └───────┘                 └───────┘
-//	                   accept, complete                 sharded engines
+//	         control (ctrl_* frames)              data (probe events)
+//	┌───────────┐  job specs ↓  ┌───────┐  tagged events  ┌───────┐
+//	│netdyn-coord│ ───────────→ │ agent │ ──────────────→ │ relay │
+//	└───────────┘  ←─ register, └───────┘                 └───────┘
+//	                  accept, complete                 sharded engines
 //
 // A connection carries register → (job → accept → complete)* with
 // heartbeats in between; the coordinator re-queues the running jobs of

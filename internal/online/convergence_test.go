@@ -30,7 +30,7 @@ func onlineSweep(t *testing.T, workers int) (*online.LossAnalyzer, *online.Phase
 		[]time.Duration{20 * time.Millisecond, 50 * time.Millisecond},
 		5*time.Second)
 	results := runner.Run(context.Background(), 42, jobs,
-		runner.Workers(workers), runner.Online(bus))
+		runner.Workers(workers), runner.Sink(bus))
 	if err := runner.FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestOnlineWithTraces(t *testing.T) {
 	jobs := runner.DeltaSweep(core.INRIAPreset(),
 		[]time.Duration{50 * time.Millisecond}, 2*time.Second)
 	results := runner.Run(context.Background(), 7, jobs,
-		runner.Traces(dir), runner.Online(bus))
+		runner.Traces(dir), runner.Sink(bus))
 	if err := runner.FirstErr(results); err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestRemoteEngineMatchesLocal(t *testing.T) {
 			[]time.Duration{20 * time.Millisecond, 50 * time.Millisecond},
 			5*time.Second)
 		results := runner.Run(context.Background(), 42, jobs,
-			runner.Workers(workers), runner.Online(localBus), runner.Sink(sender))
+			runner.Workers(workers), runner.Sink(localBus), runner.Sink(sender))
 		if err := runner.FirstErr(results); err != nil {
 			t.Fatal(err)
 		}

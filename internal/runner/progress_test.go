@@ -24,9 +24,9 @@ func TestProgressExactlyOncePerJob(t *testing.T) {
 				i := i
 				jobs[i] = Job{
 					Label: fmt.Sprintf("job-%d", i),
-					RunFunc: func(context.Context, core.SimConfig) (*core.Trace, error) {
+					Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
 						return tinyTrace(fmt.Sprintf("job-%d", i)), nil
-					},
+					}),
 				}
 			}
 			starts := make([]int, n)
@@ -85,10 +85,10 @@ func TestSummaryCountsAndUtilization(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{
 			Label: "ok",
-			RunFunc: func(context.Context, core.SimConfig) (*core.Trace, error) {
+			Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
 				time.Sleep(5 * time.Millisecond)
 				return tinyTrace("ok"), nil
-			},
+			}),
 		}
 	}
 	results, sum := RunAll(context.Background(), 1, jobs, Workers(4))
@@ -125,12 +125,12 @@ func TestSummaryCancelledDistinguished(t *testing.T) {
 		i := i
 		jobs[i] = Job{
 			Label: "maybe",
-			RunFunc: func(context.Context, core.SimConfig) (*core.Trace, error) {
+			Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
 				if i == 1 {
 					cancel()
 				}
 				return tinyTrace("maybe"), nil
-			},
+			}),
 		}
 	}
 	results, sum := RunAll(ctx, 1, jobs, Workers(1))
@@ -153,12 +153,12 @@ func TestMetricsOptionRecordsJobOutcomes(t *testing.T) {
 	reg := obs.NewRegistry()
 	boom := errors.New("boom")
 	jobs := []Job{
-		{Label: "ok", RunFunc: func(context.Context, core.SimConfig) (*core.Trace, error) {
+		{Label: "ok", Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
 			return tinyTrace("ok"), nil
-		}},
-		{Label: "bad", RunFunc: func(context.Context, core.SimConfig) (*core.Trace, error) {
+		})},
+		{Label: "bad", Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
 			return nil, boom
-		}},
+		})},
 		{Label: "sim", Config: core.INRIAPreset().Config(50*time.Millisecond, 2*time.Second, 0)},
 	}
 	results := Run(context.Background(), 3, jobs, Workers(2), Metrics(reg))

@@ -15,7 +15,7 @@ import (
 	"netprobe/internal/otrace"
 )
 
-// flakyOnce returns a RunFunc that fails its first invocation the
+// flakyOnce returns a run function that fails its first invocation the
 // given way (after dirtying the trace sink) and runs the real
 // simulation on every later one.
 func flakyOnce(calls *atomic.Int64, fail func(ctx context.Context, cfg core.SimConfig) error) func(context.Context, core.SimConfig) (*core.Trace, error) {
@@ -53,11 +53,10 @@ func TestRetryAfterPanicByteIdenticalTrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
 	jobs := []Job{{
-		Label:  "ref", // same label so the traces can match byte for byte
-		Config: cfg,
-		RunFunc: flakyOnce(&calls, func(context.Context, core.SimConfig) error {
+		Label: "ref", // same label so the traces can match byte for byte
+		Source: &funcSource{cfg: cfg, run: flakyOnce(&calls, func(context.Context, core.SimConfig) error {
 			panic("attempt 1 dies")
-		}),
+		})},
 		Retries: 2,
 	}}
 	results := Run(context.Background(), 42, jobs, Traces(dir), Metrics(reg))
@@ -107,12 +106,12 @@ func TestRetryAfterPanicByteIdenticalTrace(t *testing.T) {
 func TestRetryAfterTimeout(t *testing.T) {
 	var calls atomic.Int64
 	jobs := []Job{{
-		Label:  "slow-then-fast",
-		Config: core.INRIAPreset().Config(50*time.Millisecond, time.Second, 0),
-		RunFunc: flakyOnce(&calls, func(ctx context.Context, _ core.SimConfig) error {
-			<-ctx.Done() // hang until the watchdog fires
-			return ctx.Err()
-		}),
+		Label: "slow-then-fast",
+		Source: &funcSource{cfg: core.INRIAPreset().Config(50*time.Millisecond, time.Second, 0),
+			run: flakyOnce(&calls, func(ctx context.Context, _ core.SimConfig) error {
+				<-ctx.Done() // hang until the watchdog fires
+				return ctx.Err()
+			})},
 		Timeout: 50 * time.Millisecond,
 		Retries: 1,
 	}}
@@ -136,10 +135,10 @@ func TestRetryAfterTimeout(t *testing.T) {
 func TestTimeoutWithoutRetriesIsFailure(t *testing.T) {
 	jobs := []Job{{
 		Label: "hang",
-		RunFunc: func(ctx context.Context, _ core.SimConfig) (*core.Trace, error) {
+		Source: fakeSource(func(ctx context.Context, _ core.SimConfig) (*core.Trace, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 		Timeout: 30 * time.Millisecond,
 	}}
 	results, sum := RunAll(context.Background(), 7, jobs)
@@ -158,6 +157,32 @@ func TestTimeoutWithoutRetriesIsFailure(t *testing.T) {
 	}
 }
 
+// TestTimeoutFailsUninterruptibleSim: a simulation checks its context
+// only before it starts, so it runs to completion past Job.Timeout,
+// yet the attempt still fails with ErrJobTimeout; with a retry budget
+// the retry times out too and the job counts as one failure.
+func TestTimeoutFailsUninterruptibleSim(t *testing.T) {
+	cfg := core.INRIAPreset().Config(20*time.Millisecond, 10*time.Minute, 0)
+	for _, retries := range []int{0, 1} {
+		results, sum := RunAll(context.Background(), 7, []Job{{
+			Label:   "long-sim",
+			Config:  cfg,
+			Timeout: time.Millisecond,
+			Retries: retries,
+		}})
+		r := results[0]
+		if !errors.Is(r.Err, ErrJobTimeout) {
+			t.Fatalf("retries=%d: err = %v, want ErrJobTimeout", retries, r.Err)
+		}
+		if r.Attempts != retries+1 {
+			t.Fatalf("retries=%d: attempts = %d, want %d", retries, r.Attempts, retries+1)
+		}
+		if sum.Failed != 1 || sum.Completed != 0 || sum.Cancelled != 0 {
+			t.Fatalf("retries=%d: summary %+v, want 1 failed", retries, sum)
+		}
+	}
+}
+
 // TestRetryNotAttemptedOnCancellation: a sweep cancellation mid-job is
 // terminal — the retry ladder must not redispatch the job.
 func TestRetryNotAttemptedOnCancellation(t *testing.T) {
@@ -165,12 +190,12 @@ func TestRetryNotAttemptedOnCancellation(t *testing.T) {
 	var calls atomic.Int64
 	jobs := []Job{{
 		Label: "cancelled",
-		RunFunc: func(ctx context.Context, _ core.SimConfig) (*core.Trace, error) {
+		Source: fakeSource(func(ctx context.Context, _ core.SimConfig) (*core.Trace, error) {
 			calls.Add(1)
 			cancel() // the sweep is cancelled while the job runs
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 		Retries: 5,
 	}}
 	results, sum := RunAll(ctx, 7, jobs)
@@ -193,7 +218,7 @@ func TestRetryCleansStaleRotatedSegments(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []Job{{
 		Label: "rotate",
-		RunFunc: func(ctx context.Context, cfg core.SimConfig) (*core.Trace, error) {
+		Source: fakeSource(func(ctx context.Context, cfg core.SimConfig) (*core.Trace, error) {
 			if calls.Add(1) == 1 {
 				// Enough events to force several 1 KiB segments.
 				for i := 0; i < 2000; i++ {
@@ -204,7 +229,7 @@ func TestRetryCleansStaleRotatedSegments(t *testing.T) {
 			}
 			cfg.Trace.Emit(otrace.Event{Ev: otrace.KindProbeSent, Seq: 0})
 			return tinyTrace("rotate"), nil
-		},
+		}),
 		Retries: 1,
 	}}
 	results := Run(context.Background(), 7, jobs, Traces(dir), TraceMaxBytes(1024))

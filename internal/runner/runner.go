@@ -29,29 +29,25 @@ type Job struct {
 	// Label names the job in results and error messages,
 	// e.g. "inria δ=50ms".
 	Label string
-	// Config is the full simulation spec. Config.Seed is overwritten
-	// with the derived per-job seed before the run. Ignored when
-	// Source is set.
+	// Config is the full simulation spec, run as a source.SimSource.
+	// Config.Seed is overwritten with the derived per-job seed before
+	// the run. Ignored when Source is set.
 	Config core.SimConfig
 	// Source, if non-nil, is the job's event stream — any
 	// source.Source (a sim, a real probing session, a trace replay, a
-	// remote peer) — and takes precedence over Config and RunFunc. The
-	// pool wires the source to the job's composed sink (trace file,
-	// online taps, job brackets), sets the derived seed on Seedable
-	// sources, and takes Result.Trace from Traced ones, so a
-	// Source-based sweep keeps the same byte-identical trace guarantee
-	// as a Config-based one.
+	// remote peer) — and takes precedence over Config. The pool wires
+	// the source to the job's composed sink (trace file, online taps,
+	// job brackets), sets the derived seed on Seedable sources, and
+	// takes Result.Trace from Traced ones, so a Source-based sweep
+	// keeps the same byte-identical trace guarantee as a Config-based
+	// one.
 	Source source.Source
-	// RunFunc, if non-nil, replaces the default executor (a
-	// source.SimSource over Config). Custom collectors and tests use
-	// it; the config it receives already carries the derived seed.
-	RunFunc func(ctx context.Context, cfg core.SimConfig) (*core.Trace, error)
 	// Timeout bounds one attempt's wall-clock time. When it expires the
-	// attempt's context is cancelled and the attempt fails with
-	// ErrJobTimeout (a plain failure, retryable — never conflated with
-	// a sweep-level cancellation). Executors that ignore their context
-	// simply run to completion; the deadline can only interrupt
-	// cooperative RunFuncs. 0 means no limit.
+	// attempt's context is cancelled, and an attempt that runs past it
+	// fails with ErrJobTimeout (a plain failure, retryable — never
+	// conflated with a sweep-level cancellation). A simulation cannot be
+	// stopped mid-run, so it runs to completion first, but it still
+	// fails. 0 means no limit.
 	Timeout time.Duration
 	// Retries is how many additional attempts a failed, panicked, or
 	// timed-out job gets. Every attempt runs with the same derived
@@ -96,10 +92,11 @@ type Result struct {
 	Err error
 }
 
-// ErrJobTimeout marks an attempt that outran its Job.Timeout. It is a
-// deliberate sentinel distinct from context.DeadlineExceeded so that a
-// per-job timeout reads as a failure (and is retried), not as a sweep
-// cancellation.
+// ErrJobTimeout marks an attempt that ran past its Job.Timeout,
+// whether its executor stopped at the cancelled context or ran to
+// completion regardless. It is a deliberate sentinel distinct from
+// context.DeadlineExceeded so that a per-job timeout reads as a
+// failure (and is retried), not as a sweep cancellation.
 var ErrJobTimeout = errors.New("runner: job timed out")
 
 // EventKind distinguishes the two Progress notifications.
@@ -274,17 +271,6 @@ func Sink(s otrace.Sink) Option {
 			o.sinks = append(o.sinks, s)
 		}
 	}
-}
-
-// Online tees the sweep into an online analysis bus: Sink(bus). The
-// bus never blocks the job (slow subscribers drop events), and the
-// caller keeps ownership: close the bus after the sweep to flush the
-// analyzers.
-func Online(bus *online.Bus) Option {
-	if bus == nil {
-		return Sink(nil)
-	}
-	return Sink(bus)
 }
 
 // TraceFileName is the per-job trace file name the Traces option
@@ -500,10 +486,11 @@ func runAttempt(ctx context.Context, rootSeed int64, index int, job Job, o *opti
 		res.Err = err
 		return res
 	}
-	// The attempt deadline cancels a context private to this attempt
-	// and replaces whatever error the executor surfaces with the
-	// ErrJobTimeout sentinel — the run may well report its context's
-	// Canceled error, which must not read as a sweep cancellation.
+	// The attempt deadline cancels a context private to this attempt,
+	// and an attempt it fired on fails with the ErrJobTimeout sentinel
+	// whatever the executor returned — nil from a simulation that
+	// cannot be interrupted, or its context's Canceled error, which
+	// must not read as a sweep cancellation.
 	actx := ctx
 	var timedOut atomic.Bool
 	if job.Timeout > 0 {
@@ -556,11 +543,6 @@ func runAttempt(ctx context.Context, rootSeed int64, index int, job Job, o *opti
 			res.TraceFiles = tw.Paths()
 		}
 	}()
-	cfg := job.Config
-	cfg.Seed = res.Seed
-	if cfg.Metrics == nil {
-		cfg.Metrics = o.metrics
-	}
 	if o.traceDir != "" {
 		var w *otrace.Writer
 		var err error
@@ -591,38 +573,29 @@ func runAttempt(ctx context.Context, rootSeed int64, index int, job Job, o *opti
 		bracket.Emit(otrace.Event{Ev: otrace.KindJobStart, Seq: -1,
 			Job: job.Label, Index: index, Seed: res.Seed})
 	}
-	var tr *core.Trace
-	var err error
-	if job.Source != nil {
-		// Source jobs stream straight into the composed sink: trace
-		// file plus tagged taps, exactly what a Config job's probe
-		// events see, so trace files stay byte-identical whichever way
-		// the job is expressed.
-		tr, err = runSource(actx, job.Source, res.Seed, bracket)
-	} else {
-		switch {
-		case cfg.Trace == nil:
-			// The default probe sink is the same composition as the
-			// bracket: file (if tracing) plus taps (if any).
-			cfg.Trace = bracket
-		case tap != nil:
-			// Jobs with a custom sink keep it, but the registered taps
-			// still see their probe events.
-			cfg.Trace = otrace.Multi(cfg.Trace, tap)
+	// Every job runs as a Source streaming into the composed sink:
+	// trace file plus tagged taps. A Config job is a SimSource; one
+	// with a custom Config.Trace keeps that sink, and only the taps
+	// join it, so its file holds just the bracket.
+	src, sink := job.Source, bracket
+	if src == nil {
+		cfg := job.Config
+		if cfg.Metrics == nil {
+			cfg.Metrics = o.metrics
 		}
-		if run := job.RunFunc; run != nil {
-			tr, err = run(actx, cfg)
-		} else {
-			tr, err = runSource(actx, &source.SimSource{Label: job.Label, Config: cfg}, res.Seed, nil)
+		if cfg.Trace != nil {
+			sink = tap
 		}
+		src = &source.SimSource{Label: job.Label, Config: cfg}
 	}
-	if err != nil {
-		if timedOut.Load() {
-			res.Err = fmt.Errorf("runner: job %d (%s): %w after %v", index, job.Label,
-				ErrJobTimeout, job.Timeout)
-		} else {
-			res.Err = fmt.Errorf("runner: job %d (%s): %w", index, job.Label, err)
-		}
+	tr, err := runSource(actx, src, res.Seed, sink)
+	switch {
+	case timedOut.Load():
+		res.Err = fmt.Errorf("runner: job %d (%s): %w after %v", index, job.Label,
+			ErrJobTimeout, job.Timeout)
+		return res
+	case err != nil:
+		res.Err = fmt.Errorf("runner: job %d (%s): %w", index, job.Label, err)
 		return res
 	}
 	res.Trace = tr

@@ -8,9 +8,35 @@ import (
 	"time"
 
 	"netprobe/internal/core"
+	"netprobe/internal/otrace"
 )
 
-// tinyTrace builds a minimal valid trace for RunFunc-based tests.
+// funcSource is a test Source standing in for a custom executor: Run
+// hands run the job's config with the derived seed set and the
+// composed sink as Config.Trace, and Trace reports what run returned.
+type funcSource struct {
+	cfg core.SimConfig
+	run func(ctx context.Context, cfg core.SimConfig) (*core.Trace, error)
+	tr  *core.Trace
+}
+
+func fakeSource(run func(context.Context, core.SimConfig) (*core.Trace, error)) *funcSource {
+	return &funcSource{run: run}
+}
+
+func (s *funcSource) Name() string       { return "func" }
+func (s *funcSource) SetSeed(seed int64) { s.cfg.Seed = seed }
+func (s *funcSource) Trace() *core.Trace { return s.tr }
+
+func (s *funcSource) Run(ctx context.Context, sink otrace.Sink) error {
+	cfg := s.cfg
+	cfg.Trace = sink
+	tr, err := s.run(ctx, cfg)
+	s.tr = tr
+	return err
+}
+
+// tinyTrace builds a minimal valid trace for fake-Source tests.
 func tinyTrace(name string) *core.Trace {
 	return &core.Trace{
 		Name:     name,
@@ -48,11 +74,11 @@ func TestSubmissionOrderPreserved(t *testing.T) {
 		i := i
 		jobs[i] = Job{
 			Label: string(rune('a' + i)),
-			RunFunc: func(context.Context, core.SimConfig) (*core.Trace, error) {
+			Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
 				// Later submissions finish first.
 				time.Sleep(time.Duration(n-i) * 10 * time.Millisecond)
 				return tinyTrace(string(rune('a' + i))), nil
-			},
+			}),
 		}
 	}
 	results := Run(context.Background(), 1, jobs, Workers(n))
@@ -79,11 +105,11 @@ func TestPanicRecovered(t *testing.T) {
 		return tinyTrace("ok"), nil
 	}
 	jobs := []Job{
-		{Label: "boom", RunFunc: func(context.Context, core.SimConfig) (*core.Trace, error) {
+		{Label: "boom", Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
 			panic("kaboom")
-		}},
-		{Label: "fine-1", RunFunc: ok},
-		{Label: "fine-2", RunFunc: ok},
+		})},
+		{Label: "fine-1", Source: fakeSource(ok)},
+		{Label: "fine-2", Source: fakeSource(ok)},
 	}
 	results := Run(context.Background(), 1, jobs, Workers(2))
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "panicked") {
@@ -127,19 +153,19 @@ func TestCancellationMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	jobs := []Job{
-		{Label: "first", RunFunc: func(context.Context, core.SimConfig) (*core.Trace, error) {
+		{Label: "first", Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
 			cancel() // cancel while the sweep is underway
 			return tinyTrace("first"), nil
-		}},
+		})},
 	}
 	for i := 0; i < 5; i++ {
 		jobs = append(jobs, Job{
 			Label: "pending",
-			RunFunc: func(ctx context.Context, _ core.SimConfig) (*core.Trace, error) {
+			Source: fakeSource(func(ctx context.Context, _ core.SimConfig) (*core.Trace, error) {
 				// If dispatched despite cancellation, honor ctx.
 				<-ctx.Done()
 				return nil, ctx.Err()
-			},
+			}),
 		})
 	}
 	done := make(chan []Result, 1)

@@ -121,23 +121,23 @@ type Store struct {
 	now      func() time.Time
 	before   func()
 
-	mu      sync.Mutex
-	seq     uint64
-	times   []int64 // shared timestamp ring (Unix ns)
-	thead   int
-	tn      int
-	lastNs  int64
-	dt      float64 // seconds since the previous sample
-	byName  map[string]*seriesState
-	list    []*seriesState
-	ctrs    map[string]*counterTrack
-	hists   map[string]*histTrack
-	rules   []*boundRule
-	alerts  otrace.Sink
-	log     [64]Transition
-	logLen  int
-	logHead int
-	pendT   []Transition // this tick's transitions, emitted after unlock
+	mu         sync.Mutex
+	seq        uint64
+	times      []int64 // shared timestamp ring (Unix ns)
+	thead      int
+	tn         int
+	lastNs     int64
+	dt         float64 // seconds since the previous sample
+	byName     map[string]*seriesState
+	list       []*seriesState
+	ctrs       map[string]*counterTrack
+	hists      map[string]*histTrack
+	rules      []*boundRule
+	alerts     otrace.Sink
+	log        [64]Transition
+	logLen     int
+	logHead    int
+	pendT      []Transition        // this tick's transitions, emitted after unlock
 	dropped    int64               // series discarded at the MaxSeries cap
 	droppedSet map[string]struct{} // names already counted into dropped
 	deaths     bool                // a series died this tick; sweep the tracks
@@ -179,14 +179,14 @@ func New(cfg Config) (*Store, error) {
 		capacity = 100000
 	}
 	s := &Store{
-		reg:      cfg.Registry,
-		interval: cfg.Interval,
-		window:   cfg.Window,
-		capacity: capacity,
-		max:      cfg.MaxSeries,
-		now:      cfg.Now,
-		before:   cfg.BeforeSample,
-		times:    make([]int64, capacity),
+		reg:        cfg.Registry,
+		interval:   cfg.Interval,
+		window:     cfg.Window,
+		capacity:   capacity,
+		max:        cfg.MaxSeries,
+		now:        cfg.Now,
+		before:     cfg.BeforeSample,
+		times:      make([]int64, capacity),
 		byName:     make(map[string]*seriesState),
 		ctrs:       make(map[string]*counterTrack),
 		hists:      make(map[string]*histTrack),
