@@ -67,11 +67,14 @@ bench-snapshot:
 # a flush goroutine of its own (coalescing, short writes, redial
 # accounting). It then fuzzes the JSONL trace encoder against
 # encoding/json for a few seconds (FuzzJSONLEncode: arbitrary strings,
-# extreme integers, non-finite and boundary floats).
+# extreme integers, non-finite and boundary floats), and the Lindley
+# queue against the two-event queue it replaced (FuzzQueueReference:
+# random pipelines full of same-nanosecond ties).
 chaos:
 	$(GO) test -race -count=1 ./internal/faultinject/... ./internal/pipestat/... \
 		./internal/online/... ./internal/coord/... ./internal/source/...
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLEncode$$' -fuzztime 5s ./internal/otrace/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueReference$$' -fuzztime 5s ./internal/sim/
 
 # fleet-chaos is the full-fleet chaos soak (coord.RunChaos): a journaled
 # coordinator, agents, and a relay on loopback, with a seeded schedule

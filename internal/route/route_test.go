@@ -192,3 +192,41 @@ func TestBuildDeterministicGivenSeed(t *testing.T) {
 		t.Fatalf("deliveries differ across identical runs: %d vs %d", a, b)
 	}
 }
+
+// A built pipeline costs one event per packet-hop: every packet a
+// queue admits is carried past it by exactly one event (its link
+// delivery, or the report of a lossy link's drop), so the engine runs
+// that many events plus one per source emission. Two events per hop
+// (a completion and then a delivery) would fail this count.
+func TestBuildRunsOneEventPerPacketHop(t *testing.T) {
+	sched := sim.NewScheduler()
+	var f sim.Factory
+	p := INRIAToUMd() // keeps its random loss: dropped packets count too
+	b := Build(sched, p, BuildOptions{Seed: 3})
+	const probes, cross = 500, 3000
+	sim.NewPeriodicSource(sched, &f, "probe", 72, 20*time.Millisecond, probes, 0, b.Head).Start()
+	// Cross traffic at the bottleneck, fast enough to fill its buffer.
+	sim.NewPeriodicSource(sched, &f, "ftp", 512, 3*time.Millisecond, cross, time.Millisecond, b.BottleneckForward()).Start()
+	sched.Run(time.Hour)
+
+	admitted := int64(0)
+	for _, qs := range [][]*sim.Queue{b.ForwardQueues, b.ReturnQueues} {
+		for _, q := range qs {
+			st := q.Stats(sched.Now())
+			if st.Served+st.Dropped != st.Arrived {
+				t.Fatalf("%s: %+v does not drain", q.Name, st)
+			}
+			admitted += st.Served
+		}
+	}
+	lossy := int64(0)
+	for _, l := range b.lossLinks {
+		lossy += l.Dropped()
+	}
+	if lossy == 0 {
+		t.Fatal("no lossy-link drops: the check would not cover them")
+	}
+	if got, want := sched.Executed(), uint64(admitted+probes+cross); got != want {
+		t.Fatalf("ran %d events for %d admitted packet-hops and %d emissions, want %d", got, admitted, probes+cross, want)
+	}
+}

@@ -20,6 +20,18 @@ type EnqueueFunc func(pkt *Packet, now time.Duration, qlen int)
 // buffer full are dropped. The packet in service does not occupy a
 // buffer slot, matching the classic single-server queue with K waiting
 // positions.
+//
+// The queue runs Lindley's recurrence instead of a completion event:
+// an admitted packet arriving at a_n leaves at
+// d_n = max(a_n, d_{n−1}) + S_n, known on arrival. Receive therefore
+// schedules the packet's next delivery itself — at d_n plus the delay
+// of the Link behind the queue (after any LossyLink draws), or at d_n
+// for any other receiver — so a packet costs one event per hop. Each
+// departure the queue does not run a completion event for is a ticket
+// in the Scheduler, which orders the events it would have scheduled
+// exactly as if it had run. The queue keeps a ring of the departures
+// still ahead; one counts as done once the running event is past it,
+// and admission, Len, Busy and Stats all read the queue at that point.
 type Queue struct {
 	// Name identifies the queue in instrumentation output.
 	Name string
@@ -31,10 +43,9 @@ type Queue struct {
 	onDrop    DropFunc
 	onEnqueue EnqueueFunc
 
-	busy bool
-	// The waiting room is a FIFO ring, grown on demand up to limit
-	// slots: head indexes the oldest of the n waiting packets.
-	ring []*Packet
+	// The packets in the system are a FIFO ring of departures, grown
+	// on demand up to limit+1 slots: head indexes the one in service.
+	ring []departure
 	head int
 	n    int
 
@@ -43,7 +54,17 @@ type Queue struct {
 	served   int64
 	dropped  int64
 	busyTime time.Duration
-	lastBusy time.Duration // service start of packet in service
+}
+
+// departure is one admitted packet's service, and the ticket standing
+// for its completion event.
+type departure struct {
+	dep, start time.Duration
+	ticket     uint64
+	// linked is set when the packet's Link delivery is scheduled: the
+	// completion's first child, so a successor's completion is its
+	// second; otherwise the successor's comes after all it scheduled.
+	linked bool
 }
 
 // NewQueue returns a queue serving at rateBps bits per second with
@@ -75,6 +96,9 @@ func (q *Queue) OnEnqueue(fn EnqueueFunc) { q.onEnqueue = fn }
 
 // SetNext replaces the downstream receiver. Useful when wiring cycles
 // (e.g. attaching the return path after the forward path is built).
+// A packet's route past the queue (its LossyLink draws and the Link it
+// is delivered over) is planned when it is admitted, so rewire while
+// the queue is empty.
 func (q *Queue) SetNext(next Receiver) { q.next = next }
 
 // Rate reports the configured service rate in bits per second.
@@ -88,84 +112,127 @@ func (q *Queue) ServiceTime(size int) time.Duration {
 
 // Len reports the number of packets waiting (excluding the one in
 // service).
-func (q *Queue) Len() int { return q.n }
+func (q *Queue) Len() int {
+	q.retire()
+	return max(q.n-1, 0)
+}
 
 // Busy reports whether a packet is currently in service.
-func (q *Queue) Busy() bool { return q.busy }
+func (q *Queue) Busy() bool {
+	q.retire()
+	return q.n > 0
+}
 
 // Receive implements Receiver. If the server is idle the packet enters
 // service immediately; otherwise it joins the buffer or, if the buffer
 // is full, is dropped.
 func (q *Queue) Receive(pkt *Packet) {
+	s := q.sched
 	q.arrived++
-	if !q.busy {
-		q.startService(pkt)
-		if q.onEnqueue != nil {
-			q.onEnqueue(pkt, q.sched.Now(), 1)
-		}
-		return
-	}
-	if q.n >= q.limit {
+	q.retire()
+	if q.n > q.limit {
 		q.dropped++
 		if q.onDrop != nil {
-			q.onDrop(pkt, q.sched.Now())
+			q.onDrop(pkt, s.now)
 		}
 		return
 	}
-	q.enqueue(pkt)
+	// The completion event of an idle queue would be scheduled now, by
+	// the running event; otherwise by the previous completion.
+	d := departure{start: s.now}
+	ref, idx := uint64(0), uint64(0)
+	if q.n == 0 {
+		ref, idx = s.parent(), s.child()
+	} else {
+		prev := &q.ring[q.slot(q.n-1)]
+		d.start, ref, idx = prev.dep, prev.ticket, idxLast
+		if prev.linked {
+			idx = 1
+		}
+	}
+	svc := q.ServiceTime(pkt.Size)
+	d.dep = d.start + svc
+	d.ticket = s.ticket(d.dep, ref, idx, svc)
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	i := q.slot(q.n)
+	q.ring[i] = d
+	q.n++
 	if q.onEnqueue != nil {
-		q.onEnqueue(pkt, q.sched.Now(), q.n+1)
+		q.onEnqueue(pkt, s.now, q.n)
+	}
+	if q.forward(pkt, &q.ring[i]) {
+		return
+	}
+	// No Link follows: the completion itself is the packet's event.
+	s.push(event{at: d.dep, ref: ref, idx: idx, h: (*flight)(pkt)})
+}
+
+// forward schedules the Link delivery that carries pkt past the queue,
+// an event the completion would have scheduled as its first, and
+// reports whether it did. Otherwise it leaves pkt.hop at the receiver
+// the completion hands pkt to (or at a LossyLink's drop report).
+func (q *Queue) forward(pkt *Packet, d *departure) bool {
+	pkt.hop = &q.next
+	for {
+		switch r := (*pkt.hop).(type) {
+		case *LossyLink:
+			if r.owner == nil {
+				r.owner = q
+			}
+			if r.owner != q {
+				return false
+			}
+			if !r.draw() {
+				pkt.hop = &r.lost
+				return false
+			}
+			pkt.hop = &r.next
+		case *Link:
+			pkt.hop = &r.next
+			d.linked = true
+			q.sched.lag = max(q.sched.lag, r.delay)
+			q.sched.push(event{at: d.dep + r.delay, ref: d.ticket, h: (*flight)(pkt)})
+			return true
+		default:
+			return false
+		}
 	}
 }
 
-func (q *Queue) enqueue(pkt *Packet) {
-	if q.n == len(q.ring) {
-		// Grow by doubling, capped at the buffer size, so a huge
-		// (ablation) buffer costs only what is actually used.
-		ring := make([]*Packet, min(max(2*len(q.ring), 8), q.limit))
-		for i := 0; i < q.n; i++ {
-			ring[i] = q.ring[(q.head+i)%len(q.ring)]
+// retire counts as served every departure whose completion event would
+// already have run, leaving the packets still in the system.
+func (q *Queue) retire() {
+	for q.n > 0 {
+		d := &q.ring[q.head]
+		if !q.sched.passed(d.ticket, d.dep) {
+			return
 		}
-		q.ring, q.head = ring, 0
+		q.served++
+		q.busyTime += d.dep - d.start
+		q.head = q.slot(1)
+		q.n--
 	}
-	i := q.head + q.n
+}
+
+// slot is the ring index of the i-th packet in the system.
+func (q *Queue) slot(i int) int {
+	i += q.head
 	if i >= len(q.ring) {
 		i -= len(q.ring)
 	}
-	q.ring[i] = pkt
-	q.n++
+	return i
 }
 
-func (q *Queue) dequeue() *Packet {
-	pkt := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head++
-	if q.head == len(q.ring) {
-		q.head = 0
+// grow doubles the ring, capped at the buffer size plus the server, so
+// a huge (ablation) buffer costs only what is actually used.
+func (q *Queue) grow() {
+	ring := make([]departure, min(max(2*len(q.ring), 8), q.limit+1))
+	for i := 0; i < q.n; i++ {
+		ring[i] = q.ring[q.slot(i)]
 	}
-	q.n--
-	return pkt
-}
-
-func (q *Queue) startService(pkt *Packet) {
-	q.busy = true
-	q.lastBusy = q.sched.Now()
-	q.sched.schedule(q.lastBusy+q.ServiceTime(pkt.Size), q, pkt)
-}
-
-// fire finishes the service of pkt: it leaves for the next element and
-// the head of the waiting room, if any, enters service.
-func (q *Queue) fire(pkt *Packet) {
-	q.served++
-	q.busyTime += q.sched.Now() - q.lastBusy
-	if q.next != nil {
-		q.next.Receive(pkt)
-	}
-	if q.n > 0 {
-		q.startService(q.dequeue())
-		return
-	}
-	q.busy = false
+	q.ring, q.head = ring, 0
 }
 
 // QueueStats is a snapshot of a queue's counters.
@@ -180,6 +247,7 @@ type QueueStats struct {
 // Stats returns a snapshot of the queue counters. elapsed should be
 // the virtual time over which utilization is measured.
 func (q *Queue) Stats(elapsed time.Duration) QueueStats {
+	q.retire()
 	util := 0.0
 	if elapsed > 0 {
 		util = float64(q.busyTime) / float64(elapsed)
