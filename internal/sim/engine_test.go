@@ -8,16 +8,15 @@ import (
 	"unsafe"
 )
 
-// recorder is a handler-type event for the scheduler tests: it logs
-// its ID and runs an optional follow-up.
+// recorder is a packet-event handler for the scheduler tests: it logs
+// the packet's ID and runs an optional follow-up.
 type recorder struct {
 	log  *[]int64
-	id   int64
 	then func()
 }
 
-func (r *recorder) fire() {
-	*r.log = append(*r.log, r.id)
+func (r recorder) fire(pkt *Packet) {
+	*r.log = append(*r.log, pkt.ID)
 	if r.then != nil {
 		r.then()
 	}
@@ -66,7 +65,7 @@ func TestSchedulerOrderMatchesReferenceProperty(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				s.At(at, func() { executed = append(executed, id); then() })
 			} else {
-				s.schedule(at, &recorder{log: &executed, id: id, then: then})
+				s.schedule(at, recorder{log: &executed, then: then}, &Packet{ID: id})
 			}
 		}
 		for i := rng.Intn(20) + 1; i > 0; i-- {
@@ -104,12 +103,12 @@ func TestSchedulerPanicsOnPastPacketEvent(t *testing.T) {
 			t.Fatal("scheduling a packet event in the past did not panic")
 		}
 	}()
-	s.schedule(s.Now()-time.Nanosecond, (*flight)(&Packet{}))
+	var log []int64
+	s.schedule(s.Now()-time.Nanosecond, recorder{log: &log}, &Packet{})
 }
 
-// An event is five words: (at, inst, tie, handler), the handler of a
-// packet event being the packet itself, with no per-event closure
-// hanging off it.
+// An event is five words: (at, seq, handler, *Packet), with no
+// per-event closure hanging off it.
 func TestEventIsFiveWords(t *testing.T) {
 	if got, want := unsafe.Sizeof(event{}), 5*unsafe.Sizeof(uintptr(0)); got != want {
 		t.Fatalf("event is %d bytes, want %d", got, want)

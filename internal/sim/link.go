@@ -9,8 +9,7 @@ import (
 // Link models pure propagation delay: every packet is delivered to the
 // downstream receiver exactly Delay later. Links have no bandwidth
 // limit and never reorder (FIFO delivery is guaranteed by the
-// scheduler's stable event ordering). A Queue in front of a Link
-// schedules the delivery itself, at the packet's departure plus Delay.
+// scheduler's stable event ordering).
 type Link struct {
 	sched *Scheduler
 	delay time.Duration
@@ -25,44 +24,34 @@ func NewLink(sched *Scheduler, delay time.Duration, next Receiver) *Link {
 	return &Link{sched: sched, delay: delay, next: next}
 }
 
-// SetNext replaces the downstream receiver, for packets in flight too.
+// SetNext replaces the downstream receiver.
 func (l *Link) SetNext(next Receiver) { l.next = next }
 
 // Delay reports the configured propagation delay.
 func (l *Link) Delay() time.Duration { return l.delay }
 
-// SetDelay changes the propagation delay for packets that enter the
-// link afterwards. Used to model route changes: the paper's companion
-// work ([21]) observes step changes in round-trip delay when routes
-// move. A packet still waiting in a queue in front of the link takes
-// the new delay when it departs; packets already in flight keep their
-// old delay, so a decrease can transiently reorder packets — exactly
-// as a real route change can.
+// SetDelay changes the propagation delay for subsequently received
+// packets. Used to model route changes: the paper's companion work
+// ([21]) observes step changes in round-trip delay when routes move.
+// A packet still waiting in a queue in front of the link enters it,
+// and so takes the new delay, when it departs. Packets already in
+// flight keep their old delay, so a decrease can transiently reorder
+// packets — exactly as a real route change can.
 func (l *Link) SetDelay(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative link delay %v", d))
 	}
 	l.delay = d
-	s := l.sched
-	s.lag = max(s.lag, d)
-	s.retime(func(ev *event) bool {
-		f, ok := ev.h.(*flight)
-		if !ok || f.hop != &l.next || ev.ref&refTicket == 0 {
-			return false
-		}
-		dep, _ := s.lookup(ev.ref)
-		if s.passed(ev.ref, dep.at) {
-			return false
-		}
-		ev.at = dep.at + d
-		return true
-	})
 }
 
 // Receive implements Receiver.
-func (l *Link) Receive(pkt *Packet) {
-	pkt.hop = &l.next
-	l.sched.schedule(l.sched.now+l.delay, (*flight)(pkt))
+func (l *Link) Receive(pkt *Packet) { l.sched.schedule(l.sched.now+l.delay, l, pkt) }
+
+// fire delivers pkt at the end of its propagation delay.
+func (l *Link) fire(pkt *Packet) {
+	if l.next != nil {
+		l.next.Receive(pkt)
+	}
 }
 
 // LossyLink drops each packet independently with probability P and
@@ -71,14 +60,9 @@ func (l *Link) Receive(pkt *Packet) {
 // drop rates up to 3 %), which contribute the random component of the
 // stationary ~10 % probe loss.
 //
-// Behind a Queue, the link makes its draw for a packet when the queue
-// admits it rather than when the packet departs: the draws come in the
-// same per-link order, so the random stream is unchanged, and a drop is
-// still reported at the packet's departure instant. Only the first
-// queue to plan through the link draws ahead; packets from anything
-// else reach it at their departure and draw then, so a link fed both
-// ways would interleave its draws differently from the departures.
-// route.Build gives each lossy link a single queue.
+// Behind a Queue, a packet reaches the link when it departs, so its
+// draw and any drop report happen at the packet's departure instant
+// (now in the DropFunc), in departure order.
 type LossyLink struct {
 	// Name identifies the element in instrumentation output.
 	Name string
@@ -89,8 +73,6 @@ type LossyLink struct {
 	onDrop DropFunc
 	sched  *Scheduler
 
-	owner   *Queue   // the queue that draws ahead of departures, if any
-	lost    Receiver // reports a drop drawn ahead (a *lossReport of this link)
 	dropped int64
 	passed  int64
 }
@@ -101,15 +83,13 @@ func NewLossyLink(sched *Scheduler, name string, p float64, seed int64, next Rec
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("sim: lossy link %q: probability %v out of [0,1]", name, p))
 	}
-	l := &LossyLink{
+	return &LossyLink{
 		Name:  name,
 		p:     p,
 		rng:   rand.New(rand.NewSource(seed)),
 		next:  next,
 		sched: sched,
 	}
-	l.lost = (*lossReport)(l)
-	return l
 }
 
 // OnDrop registers fn to observe every packet the link drops.
@@ -123,33 +103,15 @@ func (l *LossyLink) Dropped() int64 { return l.dropped }
 
 // Receive implements Receiver.
 func (l *LossyLink) Receive(pkt *Packet) {
-	if !l.draw() {
-		l.drop(pkt)
+	if l.rng.Float64() < l.p {
+		l.dropped++
+		if l.onDrop != nil {
+			l.onDrop(pkt, l.sched.Now())
+		}
 		return
 	}
+	l.passed++
 	if l.next != nil {
 		l.next.Receive(pkt)
 	}
 }
-
-// draw decides the fate of the next packet: true if it passes.
-func (l *LossyLink) draw() bool {
-	if l.rng.Float64() < l.p {
-		return false
-	}
-	l.passed++
-	return true
-}
-
-func (l *LossyLink) drop(pkt *Packet) {
-	l.dropped++
-	if l.onDrop != nil {
-		l.onDrop(pkt, l.sched.now)
-	}
-}
-
-// lossReport is the receiver a queue delivers a packet to, at its
-// departure, when the link's draw made ahead of time dropped it.
-type lossReport LossyLink
-
-func (r *lossReport) Receive(pkt *Packet) { (*LossyLink)(r).drop(pkt) }

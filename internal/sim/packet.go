@@ -45,26 +45,6 @@ type Packet struct {
 	Dir Direction
 	// Probe marks packets whose round trip is being measured.
 	Probe bool
-
-	// hop is set while a delivery of the packet is scheduled: it
-	// points at the next field of the element that hands it on.
-	hop *Receiver
-}
-
-// flight is a packet with a scheduled delivery. As an event handler it
-// hands the packet to the receiver its hop points at, so a packet event
-// is the packet itself and costs no allocation. The receiver is read
-// when the event runs, so SetNext on the delivering element applies to
-// packets already on their way.
-type flight Packet
-
-func (f *flight) fire() {
-	p := (*Packet)(f)
-	next := *p.hop
-	p.hop = nil
-	if next != nil {
-		next.Receive(p)
-	}
 }
 
 // Bits reports the wire size in bits.

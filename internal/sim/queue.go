@@ -21,17 +21,15 @@ type EnqueueFunc func(pkt *Packet, now time.Duration, qlen int)
 // buffer slot, matching the classic single-server queue with K waiting
 // positions.
 //
-// The queue runs Lindley's recurrence instead of a completion event:
-// an admitted packet arriving at a_n leaves at
-// d_n = max(a_n, d_{n−1}) + S_n, known on arrival. Receive therefore
-// schedules the packet's next delivery itself — at d_n plus the delay
-// of the Link behind the queue (after any LossyLink draws), or at d_n
-// for any other receiver — so a packet costs one event per hop. Each
-// departure the queue does not run a completion event for is a ticket
-// in the Scheduler, which orders the events it would have scheduled
-// exactly as if it had run. The queue keeps a ring of the departures
-// still ahead; one counts as done once the running event is past it,
-// and admission, Len, Busy and Stats all read the queue at that point.
+// The queue runs Lindley's recurrence: an admitted packet arriving at
+// a_n departs at d_n = max(a_n, d_{n−1}) + S_n, computed on arrival
+// and kept in a ring of departure records. The queue schedules no
+// completion event. Its next departure waits in the Scheduler's
+// departure heap with the seq a completion event would have had. The
+// Scheduler hands the departure back in (at, seq) order among all
+// events, and the queue then passes the packet on and starts the next
+// service. So a packet costs one event per hop: its delivery over the
+// Link behind the queue.
 type Queue struct {
 	// Name identifies the queue in instrumentation output.
 	Name string
@@ -43,9 +41,10 @@ type Queue struct {
 	onDrop    DropFunc
 	onEnqueue EnqueueFunc
 
-	// The packets in the system are a FIFO ring of departures, grown
-	// on demand up to limit+1 slots: head indexes the one in service.
-	ring []departure
+	// The packets in the system are a FIFO ring of departure records,
+	// grown on demand up to limit+1 slots: head indexes the one in
+	// service.
+	ring []record
 	head int
 	n    int
 
@@ -56,15 +55,11 @@ type Queue struct {
 	busyTime time.Duration
 }
 
-// departure is one admitted packet's service, and the ticket standing
-// for its completion event.
-type departure struct {
-	dep, start time.Duration
-	ticket     uint64
-	// linked is set when the packet's Link delivery is scheduled: the
-	// completion's first child, so a successor's completion is its
-	// second; otherwise the successor's comes after all it scheduled.
-	linked bool
+// record is an admitted packet, its service time and the time it
+// departs.
+type record struct {
+	pkt      *Packet
+	svc, dep time.Duration
 }
 
 // NewQueue returns a queue serving at rateBps bits per second with
@@ -96,9 +91,6 @@ func (q *Queue) OnEnqueue(fn EnqueueFunc) { q.onEnqueue = fn }
 
 // SetNext replaces the downstream receiver. Useful when wiring cycles
 // (e.g. attaching the return path after the forward path is built).
-// A packet's route past the queue (its LossyLink draws and the Link it
-// is delivered over) is planned when it is admitted, so rewire while
-// the queue is empty.
 func (q *Queue) SetNext(next Receiver) { q.next = next }
 
 // Rate reports the configured service rate in bits per second.
@@ -112,107 +104,62 @@ func (q *Queue) ServiceTime(size int) time.Duration {
 
 // Len reports the number of packets waiting (excluding the one in
 // service).
-func (q *Queue) Len() int {
-	q.retire()
-	return max(q.n-1, 0)
-}
+func (q *Queue) Len() int { return max(q.n-1, 0) }
 
 // Busy reports whether a packet is currently in service.
-func (q *Queue) Busy() bool {
-	q.retire()
-	return q.n > 0
-}
+func (q *Queue) Busy() bool { return q.n > 0 }
 
 // Receive implements Receiver. If the server is idle the packet enters
 // service immediately; otherwise it joins the buffer or, if the buffer
 // is full, is dropped.
 func (q *Queue) Receive(pkt *Packet) {
-	s := q.sched
 	q.arrived++
-	q.retire()
+	now := q.sched.now
 	if q.n > q.limit {
 		q.dropped++
 		if q.onDrop != nil {
-			q.onDrop(pkt, s.now)
+			q.onDrop(pkt, now)
 		}
 		return
 	}
-	// The completion event of an idle queue would be scheduled now, by
-	// the running event; otherwise by the previous completion.
-	d := departure{start: s.now}
-	ref, idx := uint64(0), uint64(0)
-	if q.n == 0 {
-		ref, idx = s.parent(), s.child()
-	} else {
-		prev := &q.ring[q.slot(q.n-1)]
-		d.start, ref, idx = prev.dep, prev.ticket, idxLast
-		if prev.linked {
-			idx = 1
-		}
+	start := now
+	if q.n > 0 {
+		start = max(now, q.ring[q.slot(q.n-1)].dep)
 	}
 	svc := q.ServiceTime(pkt.Size)
-	d.dep = d.start + svc
-	d.ticket = s.ticket(d.dep, ref, idx, svc)
 	if q.n == len(q.ring) {
 		q.grow()
 	}
-	i := q.slot(q.n)
-	q.ring[i] = d
+	q.ring[q.slot(q.n)] = record{pkt: pkt, svc: svc, dep: start + svc}
 	q.n++
+	if q.n == 1 {
+		q.sched.depart(start+svc, q)
+	}
 	if q.onEnqueue != nil {
-		q.onEnqueue(pkt, s.now, q.n)
-	}
-	if q.forward(pkt, &q.ring[i]) {
-		return
-	}
-	// No Link follows: the completion itself is the packet's event.
-	s.push(event{at: d.dep, ref: ref, idx: idx, h: (*flight)(pkt)})
-}
-
-// forward schedules the Link delivery that carries pkt past the queue,
-// an event the completion would have scheduled as its first, and
-// reports whether it did. Otherwise it leaves pkt.hop at the receiver
-// the completion hands pkt to (or at a LossyLink's drop report).
-func (q *Queue) forward(pkt *Packet, d *departure) bool {
-	pkt.hop = &q.next
-	for {
-		switch r := (*pkt.hop).(type) {
-		case *LossyLink:
-			if r.owner == nil {
-				r.owner = q
-			}
-			if r.owner != q {
-				return false
-			}
-			if !r.draw() {
-				pkt.hop = &r.lost
-				return false
-			}
-			pkt.hop = &r.next
-		case *Link:
-			pkt.hop = &r.next
-			d.linked = true
-			q.sched.lag = max(q.sched.lag, r.delay)
-			q.sched.push(event{at: d.dep + r.delay, ref: d.ticket, h: (*flight)(pkt)})
-			return true
-		default:
-			return false
-		}
+		q.onEnqueue(pkt, now, q.n)
 	}
 }
 
-// retire counts as served every departure whose completion event would
-// already have run, leaving the packets still in the system.
-func (q *Queue) retire() {
-	for q.n > 0 {
-		d := &q.ring[q.head]
-		if !q.sched.passed(d.ticket, d.dep) {
-			return
-		}
-		q.served++
-		q.busyTime += d.dep - d.start
-		q.head = q.slot(1)
-		q.n--
+// depart finishes the service in progress, called by the Scheduler at
+// its departure time: the packet leaves for the next element and the
+// next one, if any, enters service. The leaving packet holds the
+// server until it has been handed on, so a packet that comes back to
+// this queue meanwhile waits behind the ones already waiting.
+func (q *Queue) depart() {
+	r := &q.ring[q.head]
+	pkt := r.pkt
+	r.pkt = nil
+	q.served++
+	q.busyTime += r.svc
+	if q.next != nil {
+		q.next.Receive(pkt)
+	}
+	q.head = q.slot(1)
+	q.n--
+	if q.n > 0 {
+		q.sched.redepart(q.ring[q.head].dep)
+	} else {
+		q.sched.popDeparture()
 	}
 }
 
@@ -228,7 +175,7 @@ func (q *Queue) slot(i int) int {
 // grow doubles the ring, capped at the buffer size plus the server, so
 // a huge (ablation) buffer costs only what is actually used.
 func (q *Queue) grow() {
-	ring := make([]departure, min(max(2*len(q.ring), 8), q.limit+1))
+	ring := make([]record, min(max(2*len(q.ring), 8), q.limit+1))
 	for i := 0; i < q.n; i++ {
 		ring[i] = q.ring[q.slot(i)]
 	}
@@ -247,7 +194,6 @@ type QueueStats struct {
 // Stats returns a snapshot of the queue counters. elapsed should be
 // the virtual time over which utilization is measured.
 func (q *Queue) Stats(elapsed time.Duration) QueueStats {
-	q.retire()
 	util := 0.0
 	if elapsed > 0 {
 		util = float64(q.busyTime) / float64(elapsed)

@@ -181,8 +181,10 @@ type refSpec struct {
 // changes and monitor samples often fall on the same nanosecond:
 // rates are multiples of 1 byte/ms, sizes multiples of 4 bytes, and
 // link delays and source gaps whole milliseconds, often equal to a
-// service time.
-func randomSpec(rng *rand.Rand) refSpec {
+// service time. stretch multiplies the number of packets, delay
+// changes and the length of the run; the hops are the same for every
+// stretch.
+func randomSpec(rng *rand.Rand, stretch int) refSpec {
 	sp := refSpec{echo: -1}
 	nh := 1 + rng.Intn(4)
 	for i := 0; i < nh; i++ {
@@ -215,34 +217,34 @@ func randomSpec(rng *rand.Rand) refSpec {
 			if rng.Intn(2) == 0 {
 				gap = time.Duration(int64(size) * 8 * int64(time.Second) / sp.hops[hop].rate)
 			}
-			for k := 20 + rng.Intn(40); k > 0; k-- {
+			for k := (20 + rng.Intn(40)) * stretch; k > 0; k-- {
 				sp.emissions = append(sp.emissions, refEmission{at, hop, size, probe})
 				at += gap
 			}
 		case 1: // same-size back-to-back trains
-			for k := 3 + rng.Intn(6); k > 0; k-- {
+			for k := (3 + rng.Intn(6)) * stretch; k > 0; k-- {
 				for b := 1 + rng.Intn(5); b > 0; b-- {
 					sp.emissions = append(sp.emissions, refEmission{at, hop, size, probe})
 				}
 				at += time.Duration(rng.Intn(12)) * time.Millisecond
 			}
 		default: // random gaps and sizes
-			for k := 20 + rng.Intn(40); k > 0; k-- {
+			for k := (20 + rng.Intn(40)) * stretch; k > 0; k-- {
 				sp.emissions = append(sp.emissions, refEmission{at, hop, 4 * (1 + rng.Intn(4)), rng.Intn(2) == 0})
 				at += time.Duration(rng.Intn(4)) * time.Millisecond / 2
 			}
 		}
 	}
-	for k := rng.Intn(4); k > 0; k-- {
+	for k := rng.Intn(4) * stretch; k > 0; k-- {
 		sp.changes = append(sp.changes, refDelayChange{
-			at:    time.Duration(rng.Intn(60)) * time.Millisecond,
+			at:    time.Duration(rng.Intn(60*stretch)) * time.Millisecond,
 			hop:   rng.Intn(nh),
 			delay: time.Duration(rng.Intn(6)) * time.Millisecond,
 		})
 	}
 	sp.monitor = rng.Intn(nh)
 	sp.every = time.Duration(1+rng.Intn(3)) * time.Millisecond
-	sp.horizon = time.Duration(40+rng.Intn(80)) * time.Millisecond
+	sp.horizon = time.Duration((40+rng.Intn(80))*stretch) * time.Millisecond
 	sp.split = time.Duration(rng.Intn(int(sp.horizon/time.Millisecond))) * time.Millisecond
 	return sp
 }
@@ -374,11 +376,11 @@ func diffRuns(got, want refRun) string {
 	return ""
 }
 
-func checkReference(t *testing.T, seed int64) {
+func checkReference(t *testing.T, seed int64, stretch int) {
 	t.Helper()
-	sp := randomSpec(rand.New(rand.NewSource(seed)))
+	sp := randomSpec(rand.New(rand.NewSource(seed)), stretch)
 	if d := diffRuns(runSpec(sp, false), runSpec(sp, true)); d != "" {
-		t.Fatalf("seed %d: Lindley queue differs from the two-event reference: %s\nspec %+v", seed, d, sp)
+		t.Fatalf("seed %d, stretch %d: Lindley queue differs from the two-event reference: %s\nspec %+v", seed, stretch, d, sp)
 	}
 }
 
@@ -388,13 +390,74 @@ func checkReference(t *testing.T, seed int64) {
 // monitor sample and final Stats agree.
 func TestQueueMatchesTwoEventReference(t *testing.T) {
 	for seed := int64(1); seed <= 2000; seed++ {
-		checkReference(t, seed)
+		checkReference(t, seed, 1)
 	}
 }
 
+// Long pipelines, where chains of same-nanosecond coincidences run
+// through hundreds of departures. Each listed (seed, stretch) once ran
+// in a different order when departures were settled lazily, from a
+// bounded history of event keys, instead of in (at, seq) order.
+func TestQueueMatchesTwoEventReferenceLong(t *testing.T) {
+	for _, c := range []struct {
+		seed    int64
+		stretch int
+	}{
+		{1229, 24}, {1435, 18}, {2218, 18}, {4163, 24}, {4199, 24}, {4226, 24},
+		{4348, 18}, {6401, 24}, {7403, 24}, {8029, 18}, {10590, 12}, {12164, 24},
+		{13502, 24}, {14530, 18}, {14705, 24}, {14750, 24},
+	} {
+		checkReference(t, c.seed, c.stretch)
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		checkReference(t, seed, 12)
+	}
+}
+
+// FuzzQueueReference runs the comparison on arbitrary seeds, at
+// stretches 1 to 24.
 func FuzzQueueReference(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 42, -7} {
-		f.Add(seed)
+		f.Add(seed, uint8(0))
 	}
-	f.Fuzz(checkReference)
+	f.Add(int64(10590), uint8(11))
+	f.Fuzz(func(t *testing.T, seed int64, stretch uint8) {
+		checkReference(t, seed, 1+int(stretch%24))
+	})
+}
+
+// A lossy link fed by two queues draws for each packet as it departs,
+// in departure order across both, as it did behind two-event queues:
+// the same packets are dropped, at the same instants.
+func TestLossyLinkFedByTwoQueuesMatchesReference(t *testing.T) {
+	run := func(seed int64, ref bool) []string {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler()
+		var f Factory
+		var log []string
+		sink := NewSink(s, func(p *Packet, at time.Duration) { log = append(log, fmt.Sprintf("deliver %d at %v", p.ID, at)) })
+		ll := NewLossyLink(s, "shared", 0.4, seed, NewLink(s, 2*time.Millisecond, sink))
+		ll.OnDrop(func(p *Packet, now time.Duration) { log = append(log, fmt.Sprintf("drop %d at %v", p.ID, now)) })
+		var queues [2]Receiver
+		for i := range queues {
+			if ref {
+				queues[i] = newRefQueue(s, fmt.Sprint("q", i), 8000, 3, ll)
+			} else {
+				queues[i] = NewQueue(s, fmt.Sprint("q", i), 8000, 3, ll)
+			}
+		}
+		for k := 0; k < 200; k++ {
+			at := time.Duration(rng.Intn(400)) * time.Millisecond / 2
+			q, size := queues[rng.Intn(2)], 4*(1+rng.Intn(3))
+			s.At(at, func() { q.Receive(f.New("x", k, size, at)) })
+		}
+		s.Run(time.Second)
+		return log
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		got, want := run(seed, false), run(seed, true)
+		if a, b := fmt.Sprint(got), fmt.Sprint(want); a != b {
+			t.Fatalf("seed %d: got %v\nwant %v", seed, got, want)
+		}
+	}
 }

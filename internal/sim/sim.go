@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 )
@@ -30,11 +29,11 @@ type Receiver interface {
 	Receive(pkt *Packet)
 }
 
-// handler is what a scheduled event invokes. A packet event's handler
-// is the packet itself (see flight); sources and monitors implement it
-// on their own pointers, so no event carries a closure of its own.
+// handler is what a scheduled event invokes. Link implements it
+// itself, so a packet in flight is an event carrying the packet rather
+// than a closure capturing it.
 type handler interface {
-	fire()
+	fire(pkt *Packet)
 }
 
 // funcHandler adapts the func() callbacks of At and After to handler.
@@ -42,67 +41,48 @@ type handler interface {
 // allocates nothing.
 type funcHandler func()
 
-func (f funcHandler) fire() { f() }
+func (f funcHandler) fire(*Packet) { f() }
 
 // event is a single scheduled callback, held by value in the heap.
-//
-// Events run in the order the simulator has always used: by time, and
-// at equal times by the order in which they were scheduled. Scheduling
-// order is the order of the events' parents — the events that
-// scheduled them — and then of scheduling within one parent, so an
-// event names its parent (ref) and its place among the parent's
-// children (idx). A parent is either an event that ran, numbered in
-// execution order, or a departure a Queue planned without running a
-// completion event for it (a ticket; see Queue).
 type event struct {
 	at  time.Duration
-	ref uint64
-	idx uint64
+	seq uint64 // tie-break so equal-time events run in schedule order
 	h   handler
+	pkt *Packet // argument to h.fire; nil for func events
 }
 
-// A ref is (xr+1)<<1 for the xr-th event run, or id<<1|1 for the
-// departure ticket id. refs of events that ran compare like their
-// execution order; refMin and refMax bound every other ref.
-const (
-	refTicket = 1
-	refMin    = 0
-	refMax    = ^uint64(0) - 1
-	idxLast   = 1 << 62 // a busy queue's next departure is its parent's last child
-)
+// earlier orders events by (at, seq). seq is unique per Scheduler, so
+// the order is total and the pop sequence does not depend on the heap
+// layout.
+func earlier(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func execRef(xr uint64) uint64   { return (xr + 1) << 1 }
-func ticketRef(id uint64) uint64 { return id<<1 | refTicket }
-
-// key is the ordering key of an event that ran, or of a ticket, with
-// idx doubled: the code between two Runs gets the key of the last
-// event run with idx+½, right after it.
-type key struct {
+// departure is a busy Queue's next departure. It takes its place in
+// the (at, seq) order when the service it ends starts, exactly as a
+// completion event would, but it is not an event: the Scheduler keeps
+// departures in a heap of their own, one per busy queue, and hands
+// each to its queue when the order reaches it.
+type departure struct {
 	at  time.Duration
-	ref uint64
-	idx uint64
+	seq uint64
+	q   *Queue
+}
+
+// before reports whether d comes before whatever is due at (at, seq).
+func (d *departure) before(at time.Duration, seq uint64) bool {
+	return d.at < at || (d.at == at && d.seq < seq)
 }
 
 // Scheduler owns virtual time and the pending event set, a binary
-// min-heap of events. The zero value is ready to use.
+// min-heap of events ordered by (at, seq), merged in that order with
+// the departures of busy queues, a second, much smaller heap. The zero
+// value is ready to use.
 type Scheduler struct {
-	now time.Duration
-	// cur is the ref of the running event (or, between Runs, of the
-	// last one run) and kids the number of events it has scheduled.
-	cur    uint64
-	curKey key
-	kids   uint64
-	// ran and tickets hold the keys of recently run events and of
-	// recent departure tickets, for ordering ties that involve a
-	// ticket. They keep the last historyLags times lag of virtual
-	// time, lag being the longest service time or link delay a queue
-	// has planned across; see cmpRef.
-	ran     history
-	tickets history
-	lag     time.Duration
-	memo    [1 << memoBits]memo
-
+	now        time.Duration
+	seq        uint64
 	pending    []event
+	departures []departure
 	stopped    bool
 	executed   uint64
 	maxPending int
@@ -116,160 +96,19 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // At schedules fn to run at virtual time at. Scheduling in the past is
 // a programming error and panics: it would silently reorder causality.
-func (s *Scheduler) At(at time.Duration, fn func()) { s.schedule(at, funcHandler(fn)) }
+func (s *Scheduler) At(at time.Duration, fn func()) { s.schedule(at, funcHandler(fn), nil) }
 
 // After schedules fn to run d from now. Negative d panics via At.
 func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
 
-// schedule is the path every event scheduled by the running code
-// enters the heap by.
-func (s *Scheduler) schedule(at time.Duration, h handler) {
+// schedule is the one path every event enters the heap by.
+func (s *Scheduler) schedule(at time.Duration, h handler, pkt *Packet) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", at, s.now))
 	}
-	s.push(event{at: at, ref: s.parent(), idx: s.child(), h: h})
-}
-
-// parent returns the ref of the running event, logging the root (the
-// code that runs before the first event) on first use.
-func (s *Scheduler) parent() uint64 {
-	if s.cur == refMin {
-		s.logRoot()
-	}
-	return s.cur
-}
-
-func (s *Scheduler) logRoot() { s.cur = execRef(s.ran.add(key{ref: refMin}, 0)) }
-
-// child takes the running event's next child index.
-func (s *Scheduler) child() uint64 {
-	s.kids++
-	return s.kids - 1
-}
-
-// ticket records a departure that a queue will not run a completion
-// event for and returns its ref. lag is how far the departure's
-// scheduled events lie from their parents (a service time or a link
-// delay); it widens the history kept.
-func (s *Scheduler) ticket(at time.Duration, ref, idx uint64, lag time.Duration) uint64 {
-	s.lag = max(s.lag, lag)
-	return ticketRef(s.tickets.add(key{at: at, ref: ref, idx: idx << 1}, s.historyCutoff()))
-}
-
-// historyLags is how many lags of history the Scheduler keeps.
-const historyLags = 64
-
-// historyCutoff is the time before which history is not used.
-func (s *Scheduler) historyCutoff() time.Duration {
-	return s.now - historyLags*s.lag
-}
-
-// earlier orders two events: by time, then by parent, then by place
-// among the parent's children. The order is total and does not depend
-// on the heap layout.
-func (s *Scheduler) earlier(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return s.tieEarlier(a, b)
-}
-
-// tieEarlier orders two events due at the same time.
-func (s *Scheduler) tieEarlier(a, b *event) bool {
-	if a.ref == b.ref {
-		return a.idx < b.idx
-	}
-	if (a.ref|b.ref)&refTicket == 0 {
-		return a.ref < b.ref
-	}
-	if c := s.cmpRef(a.ref, b.ref); c != 0 {
-		return c < 0
-	}
-	return a.idx < b.idx
-}
-
-// cmpRef compares the places of two parents in the order events run
-// (or departures would have run): −1, 0 for the same place, or +1.
-// Two events that ran compare by execution number; otherwise the keys
-// are compared, which recurses to their own parents only on a tie in
-// time. Each step of that recursion through a ticket reaches back at
-// most one lag, and results are memoized, so history of historyLags
-// lags orders exactly every tie short of a chain of more than
-// historyLags lags of same-instant coincidences compared for the first
-// time at its end; past the history, a key counts as the older one.
-func (s *Scheduler) cmpRef(x, y uint64) int {
-	if x == y {
-		return 0
-	}
-	if (x|y)&refTicket == 0 || x == refMax || y == refMax {
-		return cmp.Compare(x, y)
-	}
-	m := &s.memo[(x*0x9e3779b97f4a7c15^y)>>(64-memoBits)]
-	if m.x == x && m.y == y {
-		return int(m.c)
-	}
-	kx, okx := s.lookup(x)
-	ky, oky := s.lookup(y)
-	var c int
-	switch {
-	case !okx && !oky:
-		c = cmp.Compare(x, y)
-	case !okx:
-		c = -1
-	case !oky:
-		c = 1
-	default:
-		c = s.cmpKey(kx, ky)
-	}
-	*m = memo{x: x, y: y, c: int8(c)}
-	return c
-}
-
-func (s *Scheduler) cmpKey(kx, ky key) int {
-	if kx.at != ky.at {
-		return cmp.Compare(kx.at, ky.at)
-	}
-	if c := s.cmpRef(kx.ref, ky.ref); c != 0 {
-		return c
-	}
-	return cmp.Compare(kx.idx, ky.idx)
-}
-
-// lookup returns the key a ref names, if it is within the history.
-func (s *Scheduler) lookup(r uint64) (key, bool) {
-	var k key
-	var ok bool
-	switch {
-	case r&refTicket != 0:
-		k, ok = s.tickets.get(r >> 1)
-	case r != refMin:
-		k, ok = s.ran.get(r>>1 - 1)
-	}
-	return k, ok && k.at >= s.historyCutoff()
-}
-
-// memo caches recent results of cmpRef. A chain of coincidences that
-// repeats — a periodic source in step with a busy queue — then costs
-// one step of recursion per link rather than one per link so far.
-type memo struct {
-	x, y uint64
-	c    int8
-}
-
-const memoBits = 9
-
-// passed reports whether the ticket t, a departure at time at, would
-// already have run: whether it precedes the running event.
-func (s *Scheduler) passed(t uint64, at time.Duration) bool {
-	if at != s.now {
-		return at < s.now
-	}
-	return s.passedNow(t)
-}
-
-// passedNow is passed for a ticket due now.
-func (s *Scheduler) passedNow(t uint64) bool {
-	return s.cmpRef(t, s.cur) < 0
+	s.seq++
+	s.push(event{at: at, seq: s.seq, h: h, pkt: pkt})
+	s.maxPending = max(s.maxPending, s.Pending())
 }
 
 func (s *Scheduler) push(ev event) {
@@ -277,7 +116,7 @@ func (s *Scheduler) push(ev event) {
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.earlier(&ev, &h[p]) {
+		if !earlier(&ev, &h[p]) {
 			break
 		}
 		h[i] = h[p]
@@ -285,9 +124,6 @@ func (s *Scheduler) push(ev event) {
 	}
 	h[i] = ev
 	s.pending = h
-	if len(h) > s.maxPending {
-		s.maxPending = len(h)
-	}
 }
 
 // pop removes and returns the earliest event. The vacated slot is
@@ -298,100 +134,94 @@ func (s *Scheduler) pop() event {
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{}
-	s.pending = h[:n]
+	h = h[:n]
 	if n > 0 {
-		s.siftDown(0, last)
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && earlier(&h[r], &h[c]) {
+				c = r
+			}
+			if !earlier(&h[c], &last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
 	}
+	s.pending = h
 	return top
 }
 
-// siftDown places ev at slot i or below, moving earlier children up.
-func (s *Scheduler) siftDown(i int, ev event) {
-	h := s.pending
+// depart schedules q's next departure at time at, taking the next seq
+// as a completion event scheduled now would. A queue has at most one
+// departure pending.
+func (s *Scheduler) depart(at time.Duration, q *Queue) {
+	s.seq++
+	d := departure{at: at, seq: s.seq, q: q}
+	h := append(s.departures, d)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !d.before(h[p].at, h[p].seq) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = d
+	s.departures = h
+	s.maxPending = max(s.maxPending, s.Pending())
+}
+
+// popDeparture removes the earliest departure, the one being made,
+// when its queue has emptied.
+func (s *Scheduler) popDeparture() {
+	h := s.departures
+	n := len(h) - 1
+	last := h[n]
+	h[n] = departure{}
+	s.departures = h[:n]
+	if n > 0 {
+		s.siftDeparture(last)
+	}
+}
+
+// redepart replaces the earliest departure, the one being made, with
+// its queue's next, at time at. The departure being made is still the
+// earliest: whatever its queue's packet scheduled on its way out is
+// due no earlier and has a larger seq.
+func (s *Scheduler) redepart(at time.Duration) {
+	s.seq++
+	d := s.departures[0]
+	d.at, d.seq = at, s.seq
+	s.siftDeparture(d)
+}
+
+// siftDeparture places d at the root of the departure heap or below.
+func (s *Scheduler) siftDeparture(d departure) {
+	h := s.departures
 	n := len(h)
+	i := 0
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && s.earlier(&h[r], &h[c]) {
+		if r := c + 1; r < n && h[r].before(h[c].at, h[c].seq) {
 			c = r
 		}
-		if !s.earlier(&h[c], &ev) {
+		if !h[c].before(d.at, d.seq) {
 			break
 		}
 		h[i] = h[c]
 		i = c
 	}
-	h[i] = ev
-}
-
-// retime lets fn move pending events to a new time, then restores the
-// heap order. It is the slow path of Link.SetDelay.
-func (s *Scheduler) retime(fn func(ev *event) bool) {
-	moved := false
-	for i := range s.pending {
-		if fn(&s.pending[i]) {
-			moved = true
-		}
-	}
-	if !moved {
-		return
-	}
-	for i := len(s.pending)/2 - 1; i >= 0; i-- {
-		s.siftDown(i, s.pending[i])
-	}
-}
-
-// run logs ev as the next event to run and makes it the running one.
-func (s *Scheduler) run(k key) {
-	s.now, s.curKey, s.kids = k.at, k, 0
-	s.parent()
-	s.cur = execRef(s.ran.add(k, s.historyCutoff()))
-}
-
-// history is an append-only log of keys numbered from zero, of which
-// only the recent ones are kept, in a ring: when the ring is full it
-// drops the keys older than a cutoff from the front, and doubles if
-// that frees less than a quarter of it.
-type history struct {
-	base uint64 // number of the oldest key kept
-	n    int    // keys kept
-	keys []key  // len is zero or a power of two
-}
-
-func (h *history) add(k key, cutoff time.Duration) uint64 {
-	if h.n == len(h.keys) {
-		h.makeRoom(cutoff)
-	}
-	i := h.base + uint64(h.n)
-	h.keys[i&uint64(len(h.keys)-1)] = k
-	h.n++
-	return i
-}
-
-func (h *history) makeRoom(cutoff time.Duration) {
-	mask := uint64(len(h.keys) - 1)
-	for h.n > 0 && h.keys[h.base&mask].at < cutoff {
-		h.base++
-		h.n--
-	}
-	if 4*h.n <= 3*len(h.keys) && h.n < len(h.keys) {
-		return
-	}
-	keys := make([]key, max(2*len(h.keys), 64))
-	for j := 0; j < h.n; j++ {
-		i := h.base + uint64(j)
-		keys[i&uint64(len(keys)-1)] = h.keys[i&mask]
-	}
-	h.keys = keys
-}
-
-func (h *history) get(i uint64) (key, bool) {
-	if i < h.base || i-h.base >= uint64(h.n) {
-		return key{}, false
-	}
-	return h.keys[i&uint64(len(h.keys)-1)], true
+	h[i] = d
 }
 
 // Stop makes Run return after the currently executing event.
@@ -403,38 +233,54 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // The clock then advances to the horizon, unless Stop left an event at
 // or before the horizon pending: it stays at the stopping event, so a
 // later Run resumes without time going backwards.
+//
+// Queue departures are merged into the run in (at, seq) order. They
+// move the clock and count as pending, but not as events executed.
 func (s *Scheduler) Run(horizon time.Duration) int {
 	s.stopped = false
 	n := 0
-	for len(s.pending) > 0 && !s.stopped && s.pending[0].at <= horizon {
+	for !s.stopped {
+		if len(s.departures) > 0 && (len(s.pending) == 0 || s.departures[0].before(s.pending[0].at, s.pending[0].seq)) {
+			if s.departures[0].at > horizon {
+				break
+			}
+			d := &s.departures[0]
+			s.now = d.at
+			d.q.depart()
+			continue
+		}
+		if len(s.pending) == 0 || s.pending[0].at > horizon {
+			break
+		}
 		ev := s.pop()
-		s.run(key{at: ev.at, ref: ev.ref, idx: ev.idx << 1})
-		ev.h.fire()
+		s.now = ev.at
+		ev.h.fire(ev.pkt)
 		n++
 	}
 	s.executed += uint64(n)
-	// The code between Runs acts as an event: after everything up to
-	// the horizon if the clock advances to it, otherwise right after
-	// the last event run.
-	if s.now <= horizon && (len(s.pending) == 0 || s.pending[0].at > horizon) {
-		s.run(key{at: horizon, ref: refMax})
-	} else {
-		k := s.curKey
-		k.idx |= 1
-		s.run(k)
+	if s.now < horizon && !s.due(horizon) {
+		s.now = horizon
 	}
 	return n
 }
 
-// Pending reports the number of events not yet executed.
-func (s *Scheduler) Pending() int { return len(s.pending) }
+// due reports whether an event or departure at or before t is pending.
+func (s *Scheduler) due(t time.Duration) bool {
+	return len(s.pending) > 0 && s.pending[0].at <= t ||
+		len(s.departures) > 0 && s.departures[0].at <= t
+}
+
+// Pending reports the number of events not yet executed, counting
+// each busy queue's next departure as one.
+func (s *Scheduler) Pending() int { return len(s.pending) + len(s.departures) }
 
 // Executed reports the total number of events run across all Run
-// calls — the engine's work counter for instrumentation.
+// calls — the engine's work counter for instrumentation. Queue
+// departures are not events and are not counted.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// MaxPending reports the high-water mark of the event heap: the
-// largest number of events that were ever pending at once. It bounds
-// the engine's memory footprint and is exported to the metrics
+// MaxPending reports the high-water mark of Pending: the largest
+// number of events and departures that were ever pending at once. It
+// bounds the engine's memory footprint and is exported to the metrics
 // registry by instrumented runs.
 func (s *Scheduler) MaxPending() int { return s.maxPending }

@@ -57,11 +57,11 @@ func (p *PeriodicSource) Start() {
 	if p.count <= 0 {
 		return
 	}
-	p.sched.schedule(p.start, p)
+	p.sched.schedule(p.start, p, nil)
 }
 
 // fire emits one probe and schedules the next emission.
-func (p *PeriodicSource) fire() {
+func (p *PeriodicSource) fire(*Packet) {
 	now := p.sched.Now()
 	pkt := p.factory.New(p.flow, p.sent, p.size, now)
 	pkt.Probe = true
@@ -74,6 +74,6 @@ func (p *PeriodicSource) fire() {
 		p.next.Receive(pkt)
 	}
 	if p.sent < p.count {
-		p.sched.schedule(now+p.delta, p)
+		p.sched.schedule(now+p.delta, p, nil)
 	}
 }
