@@ -69,12 +69,16 @@ bench-snapshot:
 # encoding/json for a few seconds (FuzzJSONLEncode: arbitrary strings,
 # extreme integers, non-finite and boundary floats), and the Lindley
 # queue against the two-event queue it replaced (FuzzQueueReference:
-# random pipelines full of same-nanosecond ties).
+# random pipelines full of same-nanosecond ties), and the coordinator's
+# journal replay (FuzzRecover: arbitrary bytes never panic Recover, and
+# a compacted journal replays to the same table; minimization is capped
+# because every input writes and fsyncs a journal).
 chaos:
 	$(GO) test -race -count=1 ./internal/faultinject/... ./internal/pipestat/... \
 		./internal/online/... ./internal/coord/... ./internal/source/...
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLEncode$$' -fuzztime 5s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueReference$$' -fuzztime 5s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/coord/
 
 # fleet-chaos is the full-fleet chaos soak (coord.RunChaos): a journaled
 # coordinator, agents, and a relay on loopback, with a seeded schedule

@@ -493,13 +493,12 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		return res, fmt.Errorf("coord: chaos: replay has %d instances, live table %d",
 			len(rec.Jobs), len(ids))
 	}
-	for i := range rec.Jobs {
-		rj := &rec.Jobs[i]
+	for _, rj := range rec.Jobs {
 		row, ok := liveRows[rj.ID]
-		if !ok || rj.State != row.State || rj.Attempts != row.Attempts ||
-			rj.Probes != row.Probes {
-			return res, fmt.Errorf("coord: chaos: replay diverges at %s: replay={%s a%d p%d} live={%s a%d p%d}",
-				rj.ID, rj.State, rj.Attempts, rj.Probes, row.State, row.Attempts, row.Probes)
+		if !ok || rj.State != row.State || rj.Agent != row.Agent || rj.Attempts != row.Attempts ||
+			rj.Probes != row.Probes || rj.Losses != row.Losses || rj.Err != row.Error {
+			return res, fmt.Errorf("coord: chaos: replay diverges at %s: replay=%+v live=%+v",
+				rj.ID, *rj, row)
 		}
 	}
 	res.ReplayMatch = true

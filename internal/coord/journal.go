@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,11 +23,10 @@ import (
 // The journal is compacting rather than rotating: FrameWriter stamps
 // the stream magic at creation, so frames cannot be appended to an
 // existing file across restarts. OpenJournal therefore always replays
-// the old file and rewrites it as a minimal snapshot (one submit frame
-// per live instance plus its current-position frames) via a temp file
-// and atomic rename — which doubles as recovery (the replayed table
-// seeds the coordinator) and as rotation (a journal that outgrows
-// MaxBytes is compacted the same way mid-flight).
+// the old file and rewrites it as the table's snapshot (table.snapshot)
+// via a temp file and atomic rename — which doubles as recovery (Serve
+// takes the replayed table over) and as rotation (a journal that
+// outgrows MaxBytes is compacted the same way mid-flight).
 
 // SyncPolicy selects when appended frames are fsynced.
 type SyncPolicy string
@@ -88,116 +84,28 @@ func (c countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// RecoveredJob is one instance's replayed row.
-type RecoveredJob struct {
-	ID       string
-	Index    int // recurrence index (0 for one-shots)
-	Spec     Spec
-	State    State
-	Agent    string // agent at last dispatch ("" after a re-queue)
-	Attempts int
-	Probes   int
-	Losses   int
-	Err      string
-	// SubmittedNs is the original submission wall clock (unix ns).
-	SubmittedNs int64
-}
-
 // Recovered is a replayed journal: the job table as of the last
-// decodable frame.
+// decodable frame. Its Jobs, NextIndex, MaxSeq and Counts come from
+// the embedded table, which Serve takes over when passed as
+// Config.Recovered.
 type Recovered struct {
-	// Jobs holds every instance in submission order.
-	Jobs []RecoveredJob
-	// NextIndex maps a recurring spec's name to the next recurrence
-	// index it should schedule (max replayed index + 1), so a restart
-	// resumes the Seed+n sequence instead of restarting it.
-	NextIndex map[string]int
-	// MaxSeq is the highest #n id suffix seen, seeding the id counter.
-	MaxSeq int
+	*table
 	// Frames is how many frames replayed; Truncated reports a torn
 	// tail frame (the prefix was kept).
 	Frames    int64
 	Truncated bool
 }
 
-// Counts aggregates the replayed table by state.
-func (r *Recovered) Counts() JobCounts {
-	var jc JobCounts
-	for i := range r.Jobs {
-		switch r.Jobs[i].State {
-		case StatePending:
-			jc.Pending++
-		case StateRunning:
-			jc.Running++
-		case StateCompleted:
-			jc.Completed++
-		case StateFailed:
-			jc.Failed++
-		}
-	}
-	return jc
-}
-
-// hasSpec reports whether any replayed instance came from spec name.
-func (r *Recovered) hasSpec(name string) bool {
-	for i := range r.Jobs {
-		if r.Jobs[i].Spec.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Recover replays the journal at path and rebuilds the job table it
-// describes. A torn tail frame (the process died mid-append) is
-// tolerated like otrace.Read tolerates truncated traces: every
-// decodable frame is applied and Truncated is set. Unknown frame kinds
-// are skipped, so a newer coordinator's journal still replays.
+// describes by applying every frame in order. A torn tail frame (the
+// process died mid-append) is tolerated like otrace.Read tolerates
+// truncated traces: every decodable frame is applied and Truncated is
+// set.
 func Recover(path string) (*Recovered, error) {
-	rec := &Recovered{NextIndex: make(map[string]int)}
-	byID := make(map[string]int) // id → index into rec.Jobs
+	rec := &Recovered{table: newTable()}
 	err := otrace.ReadFile(path, func(ev otrace.Event) error {
 		rec.Frames++
-		switch ev.Ev {
-		case otrace.KindCtrlSubmit:
-			spec := specFromEvent(ev)
-			if i, ok := byID[ev.Job]; ok {
-				// A duplicate submit (compaction artifact) refreshes the row.
-				rec.Jobs[i].Spec = spec
-				break
-			}
-			byID[ev.Job] = len(rec.Jobs)
-			rec.Jobs = append(rec.Jobs, RecoveredJob{
-				ID: ev.Job, Index: ev.Index, Spec: spec,
-				State: StatePending, SubmittedNs: ev.SentNs,
-			})
-			if spec.Every > 0 && rec.NextIndex[spec.Name] < ev.Index+1 {
-				rec.NextIndex[spec.Name] = ev.Index + 1
-			}
-			if n, ok := seqSuffix(ev.Job); ok && n > rec.MaxSeq {
-				rec.MaxSeq = n
-			}
-		case otrace.KindCtrlDispatch:
-			if i, ok := byID[ev.Job]; ok {
-				j := &rec.Jobs[i]
-				j.State, j.Agent, j.Attempts = StateRunning, ev.Name, ev.Count
-			}
-		case otrace.KindCtrlRequeue:
-			if i, ok := byID[ev.Job]; ok {
-				j := &rec.Jobs[i]
-				j.State, j.Agent, j.Err = StatePending, "", ev.Fault
-			}
-		case otrace.KindCtrlComplete:
-			if i, ok := byID[ev.Job]; ok {
-				j := &rec.Jobs[i]
-				j.State, j.Probes, j.Losses, j.Err = StateCompleted, ev.Probes, ev.Losses, ""
-			}
-		case otrace.KindCtrlFail:
-			if i, ok := byID[ev.Job]; ok {
-				j := &rec.Jobs[i]
-				j.State, j.Err = StateFailed, ev.Fault
-			}
-		}
+		rec.apply(ev)
 		return nil
 	})
 	if err != nil {
@@ -208,41 +116,6 @@ func Recover(path string) (*Recovered, error) {
 		return nil, err
 	}
 	return rec, nil
-}
-
-// seqSuffix extracts n from a "name#n" instance id.
-func seqSuffix(id string) (int, bool) {
-	i := strings.LastIndexByte(id, '#')
-	if i < 0 {
-		return 0, false
-	}
-	n, err := strconv.Atoi(id[i+1:])
-	return n, err == nil
-}
-
-// snapshotRecords renders a replayed table as the minimal frame
-// sequence that replays back to it: submit, then dispatch for anything
-// that has run, then the frame for its current position.
-func snapshotRecords(rec *Recovered) []otrace.Event {
-	out := make([]otrace.Event, 0, 2*len(rec.Jobs))
-	for i := range rec.Jobs {
-		j := &rec.Jobs[i]
-		out = append(out, submitRecord(j.ID, j.Index, j.Spec, j.SubmittedNs))
-		if j.Attempts > 0 {
-			out = append(out, dispatchRecord(j.ID, j.Agent, j.Attempts))
-		}
-		switch j.State {
-		case StatePending:
-			if j.Attempts > 0 {
-				out = append(out, requeueRecord(j.ID, j.Err))
-			}
-		case StateCompleted:
-			out = append(out, completeRecord(j.ID, j.Probes, j.Losses))
-		case StateFailed:
-			out = append(out, failRecord(j.ID, j.Err))
-		}
-	}
-	return out
 }
 
 // OpenJournal opens (or creates) the journal at path: an existing file
@@ -264,7 +137,7 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, *Recovered, error)
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = 4 << 20
 	}
-	rec := &Recovered{NextIndex: make(map[string]int)}
+	rec := &Recovered{table: newTable()}
 	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
 		rec, err = Recover(path)
 		if err != nil {
@@ -272,7 +145,7 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, *Recovered, error)
 		}
 	}
 	j := &Journal{path: path, opts: opts}
-	if err := j.rewriteLocked(snapshotRecords(rec)); err != nil {
+	if err := j.rewriteLocked(rec.snapshot()); err != nil {
 		return nil, nil, err
 	}
 	return j, rec, nil
@@ -437,19 +310,4 @@ func (j *Journal) Abandon() {
 	}
 	j.closed = true
 	j.f.Close() //nolint:errcheck // crash simulation
-}
-
-// sortedSpecNames is a small helper for deterministic logging of a
-// recovered table.
-func (r *Recovered) sortedSpecNames() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for i := range r.Jobs {
-		if n := r.Jobs[i].Spec.Name; n != "" && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -52,8 +52,9 @@ type Config struct {
 	// the caller owns the journal's lifecycle and closes it after
 	// Close.
 	Journal *Journal
-	// Recovered, if non-nil, seeds the job table from a replayed
-	// journal before Specs are submitted. Recovered running instances
+	// Recovered, if non-nil, is a replayed journal whose table the
+	// coordinator takes over before Specs are submitted (the caller
+	// must not use it afterwards). Recovered running instances
 	// are re-queued (their agents are gone until they redial), held
 	// back by RecoveryGrace so an agent that finished the work during
 	// the outage can settle it with a resent completion instead of a
@@ -89,31 +90,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// job is one instance's row in the coordinator's table.
-type job struct {
-	id       string
-	index    int // recurrence index (0 for one-shots)
-	spec     Spec
-	state    State
-	agent    string // executing (or last) agent
-	attempts int
-	accepted bool
-	probes   int
-	losses   int
-	errMsg   string
-
-	submittedNs int64
-	startedNs   int64
-	finishedNs  int64
-	// notBeforeNs holds a re-queued instance out of dispatch until the
-	// recovery grace passes (0 = dispatchable now).
-	notBeforeNs int64
-	// avoid is the agent whose failure re-queued this instance: the next
-	// dispatch prefers any other agent, so a retry does not hot-loop on
-	// the same broken (or mid-disconnect) agent while healthy ones idle.
-	avoid string
-}
-
 // agentConn is one registered agent.
 type agentConn struct {
 	name      string
@@ -138,13 +114,11 @@ type Coordinator struct {
 
 	mu         sync.Mutex
 	cond       *sync.Cond
-	jobs       map[string]*job
-	order      []string
+	t          *table
 	queue      []string // pending instance ids, FIFO
 	agents     map[string]*agentConn
 	agentOrder []string
 	rr         int // round-robin dispatch cursor
-	seq        int // instance id counter
 	closed     bool
 	killed     bool // Kill: stop journaling, teardown is abrupt
 
@@ -164,7 +138,7 @@ type Coordinator struct {
 }
 
 // Serve starts a coordinator accepting agent connections on ln,
-// seeds the table from cfg.Recovered, and submits cfg.Specs. It
+// takes over the table of cfg.Recovered, and submits cfg.Specs. It
 // returns immediately; Close shuts it down.
 func Serve(ln net.Listener, cfg Config) *Coordinator {
 	if cfg.MaxAttempts <= 0 {
@@ -182,7 +156,7 @@ func Serve(ln net.Listener, cfg Config) *Coordinator {
 	c := &Coordinator{
 		ln:     ln,
 		cfg:    cfg,
-		jobs:   make(map[string]*job),
+		t:      newTable(),
 		agents: make(map[string]*agentConn),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -190,15 +164,13 @@ func Serve(ln net.Listener, cfg Config) *Coordinator {
 	if cfg.Metrics != nil {
 		c.exportMetrics(cfg.Metrics)
 	}
+	var recovered map[string]bool
 	if cfg.Recovered != nil {
-		c.seedRecovered(cfg.Recovered)
+		recovered = c.adopt(cfg.Recovered)
 	}
 	for _, s := range cfg.Specs {
 		if s.Every > 0 {
-			start := 0
-			if cfg.Recovered != nil {
-				start = cfg.Recovered.NextIndex[s.Name]
-			}
+			start := c.t.NextIndex[s.Name]
 			if s.Runs > 0 && start >= s.Runs {
 				continue // the recovered table already holds every run
 			}
@@ -206,7 +178,7 @@ func Serve(ln net.Listener, cfg Config) *Coordinator {
 			go c.schedule(s, start)
 			continue
 		}
-		if cfg.Recovered != nil && cfg.Recovered.hasSpec(s.Name) {
+		if recovered[s.Name] {
 			continue // instance survives in the recovered table
 		}
 		c.Submit(s)
@@ -218,13 +190,13 @@ func Serve(ln net.Listener, cfg Config) *Coordinator {
 	return c
 }
 
-// seedRecovered installs a replayed journal as the starting table.
-// Pending instances re-enter the queue as they were; running instances
-// are re-queued (their agents are not connected yet) behind the
-// recovery grace, so an agent that finished the instance during the
-// outage gets a window to settle it with its resent ctrl_complete
-// before anything re-executes.
-func (c *Coordinator) seedRecovered(rec *Recovered) {
+// adopt takes over a replayed journal's table and returns the names of
+// the specs it holds instances of. Pending instances re-enter the queue
+// as they were; running instances are re-queued (their agents are not
+// connected yet) behind the recovery grace, so an agent that finished
+// the instance during the outage gets a window to settle it with its
+// resent ctrl_complete before anything re-executes.
+func (c *Coordinator) adopt(rec *Recovered) map[string]bool {
 	now := time.Now().UnixNano()
 	grace := int64(c.cfg.RecoveryGrace)
 	if grace < 0 {
@@ -232,28 +204,20 @@ func (c *Coordinator) seedRecovered(rec *Recovered) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range rec.Jobs {
-		rj := &rec.Jobs[i]
-		j := &job{
-			id: rj.ID, index: rj.Index, spec: rj.Spec, state: rj.State,
-			agent: rj.Agent, attempts: rj.Attempts,
-			probes: rj.Probes, losses: rj.Losses, errMsg: rj.Err,
-			submittedNs: rj.SubmittedNs,
-		}
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		switch rj.State {
+	c.t = rec.table
+	specs := make(map[string]bool)
+	for _, j := range c.t.Jobs {
+		specs[j.Spec.Name] = true
+		switch j.State {
 		case StatePending:
-			c.queue = append(c.queue, j.id)
+			c.queue = append(c.queue, j.ID)
 		case StateRunning:
-			j.state = StatePending
-			j.agent = ""
+			c.commitLocked(requeueRecord(j.ID, "coordinator restart", j.Probes, j.Losses))
 			j.notBeforeNs = now + grace
-			c.queue = append(c.queue, j.id)
+			c.queue = append(c.queue, j.ID)
 			c.bumpRequeuedLocked()
-			c.journalLocked(requeueRecord(j.id, "coordinator restart"))
 			c.cfg.Logf("coord: job %s re-queued after recovery (attempt %d, grace %s)",
-				j.id, j.attempts, c.cfg.RecoveryGrace)
+				j.ID, j.Attempts, c.cfg.RecoveryGrace)
 		case StateFailed:
 			// Keep the failure counter consistent with the table across
 			// restarts: a counter that forgot pre-crash failures would
@@ -261,15 +225,13 @@ func (c *Coordinator) seedRecovered(rec *Recovered) {
 			c.failed++
 		}
 	}
-	if rec.MaxSeq > c.seq {
-		c.seq = rec.MaxSeq
-	}
 	if c.cFailed != nil && c.failed > 0 {
 		c.cFailed.Add(c.failed)
 	}
-	jc := c.countsLocked()
-	c.cfg.Logf("coord: recovered %d jobs (%d pending, %d completed, %d failed) from journal (specs: %v)",
-		jc.Total(), jc.Pending, jc.Completed, jc.Failed, rec.sortedSpecNames())
+	jc := c.t.counts
+	c.cfg.Logf("coord: recovered %d jobs (%d pending, %d completed, %d failed) of %d specs from journal",
+		jc.Total(), jc.Pending, jc.Completed, jc.Failed, len(specs))
+	return specs
 }
 
 // Addr reports the listener's address (useful with ":0").
@@ -312,50 +274,34 @@ func (c *Coordinator) submitIndexed(s Spec, index int) string {
 		name = "job"
 	}
 	id := name
-	for _, taken := c.jobs[id]; taken; _, taken = c.jobs[id] {
-		c.seq++
-		id = fmt.Sprintf("%s#%d", name, c.seq)
+	for n := c.t.MaxSeq + 1; c.t.byID[id] != nil; n++ {
+		id = fmt.Sprintf("%s#%d", name, n)
 	}
-	j := &job{id: id, index: index, spec: s, state: StatePending,
-		submittedNs: time.Now().UnixNano()}
-	c.jobs[id] = j
-	c.order = append(c.order, id)
+	c.commitLocked(submitRecord(id, index, s, time.Now().UnixNano()))
 	c.queue = append(c.queue, id)
-	c.journalLocked(submitRecord(id, index, s, j.submittedNs))
 	c.dispatchLocked()
 	c.cond.Broadcast()
 	return id
 }
 
-// journalLocked appends one transition frame to the configured journal
-// (no-op without one, or after Kill), compacting when the file
-// outgrows its bound. Callers hold c.mu.
-func (c *Coordinator) journalLocked(ev otrace.Event) {
-	if c.cfg.Journal == nil || c.killed {
-		return
+// commitLocked journals one transition frame and then applies it to
+// the table, so the journal is written ahead of the table by
+// construction. After Kill nothing is journaled (the process is dead
+// as far as the journal knows) but the in-memory table still moves. A
+// journal that outgrows its bound is compacted to the table's
+// snapshot. Callers hold c.mu.
+func (c *Coordinator) commitLocked(ev otrace.Event) {
+	jn := c.cfg.Journal
+	journaled := jn != nil && !c.killed
+	if journaled {
+		jn.Append(ev)
 	}
-	c.cfg.Journal.Append(ev)
-	if c.cfg.Journal.ShouldCompact() {
-		if err := c.cfg.Journal.Compact(c.snapshotLocked()); err != nil {
+	c.t.apply(ev)
+	if journaled && jn.ShouldCompact() {
+		if err := jn.Compact(c.t.snapshot()); err != nil {
 			c.cfg.Logf("coord: journal compaction failed: %v", err)
 		}
 	}
-}
-
-// snapshotLocked renders the live table as a minimal replayable frame
-// sequence (the compaction payload). Callers hold c.mu.
-func (c *Coordinator) snapshotLocked() []otrace.Event {
-	rec := &Recovered{Jobs: make([]RecoveredJob, 0, len(c.order))}
-	for _, id := range c.order {
-		j := c.jobs[id]
-		rec.Jobs = append(rec.Jobs, RecoveredJob{
-			ID: j.id, Index: j.index, Spec: j.spec, State: j.state,
-			Agent: j.agent, Attempts: j.attempts,
-			Probes: j.probes, Losses: j.losses, Err: j.errMsg,
-			SubmittedNs: j.submittedNs,
-		})
-	}
-	return snapshotRecords(rec)
 }
 
 // acceptLoop accepts agent connections until the listener closes.
@@ -465,8 +411,8 @@ func (c *Coordinator) dispatchLocked() {
 	now := time.Now().UnixNano()
 	for i := 0; i < len(c.queue); {
 		id := c.queue[i]
-		j := c.jobs[id]
-		if j == nil || j.state != StatePending {
+		j := c.t.byID[id]
+		if j == nil || j.State != StatePending {
 			// A late completion settled the instance while it was queued.
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			continue
@@ -480,22 +426,19 @@ func (c *Coordinator) dispatchLocked() {
 			return
 		}
 		c.queue = append(c.queue[:i], c.queue[i+1:]...)
-		j.state = StateRunning
-		j.agent = a.name
-		j.attempts++
+		c.commitLocked(dispatchRecord(id, a.name, j.Attempts+1))
 		j.accepted = false
 		j.notBeforeNs = 0
 		j.avoid = ""
 		j.startedNs = now
 		a.running[id] = true
-		c.journalLocked(dispatchRecord(id, a.name, j.attempts))
 		// Emit does not write the socket under c.mu: it queues the frame
 		// for the Sender's flush goroutine, which writes frames in Emit
 		// order, so the job table and the wire stay in the same order.
 		// Err thus reports only the failure of an earlier flush; a
 		// failure of this frame is caught by the connection's read loop
 		// (disconnect) or by the next dispatch.
-		a.send.Emit(jobEvent(id, j.spec))
+		a.send.Emit(jobEvent(id, j.Spec))
 		if a.send.Err() != nil {
 			c.retireLocked(a, "agent send failed")
 		}
@@ -534,7 +477,7 @@ func (c *Coordinator) pickLocked(avoid string) *agentConn {
 func (c *Coordinator) markAccepted(a *agentConn, id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if j := c.jobs[id]; j != nil && j.agent == a.name && j.state == StateRunning {
+	if j := c.t.byID[id]; j != nil && j.Agent == a.name && j.State == StateRunning {
 		j.accepted = true
 	}
 }
@@ -557,78 +500,68 @@ func (c *Coordinator) complete(a *agentConn, ev otrace.Event) {
 	}
 	a.send.Emit(ackEvent(ev.Job))
 	delete(a.running, ev.Job)
-	j := c.jobs[ev.Job]
+	j := c.t.byID[ev.Job]
 	if j == nil {
 		return // unknown id (journal-less restart): nothing to settle
 	}
 	switch {
-	case j.state == StateCompleted || j.state == StateFailed:
+	case j.State == StateCompleted || j.State == StateFailed:
 		return // duplicate after settlement
-	case j.state == StatePending:
-		// Re-queued (disconnect, eviction, or recovery) and the original
-		// attempt's report arrived afterwards. A success settles it before
-		// anything re-executes; an error is stale — the re-queue already
-		// accounted for that attempt.
-		if ev.Fault != "" {
-			return
-		}
-		c.removeQueuedLocked(j.id)
-		c.settleLocked(j, a, ev)
-	case j.agent != a.name:
-		// Re-dispatched to another agent; the first success still wins and
-		// the later duplicate from the current holder dedupes above.
-		if ev.Fault != "" {
-			return
-		}
-		if cur := c.agents[j.agent]; cur != nil {
-			delete(cur.running, j.id)
-		}
+	case ev.Fault != "" && (j.State == StatePending || j.Agent != a.name):
+		// An error from an attempt that is no longer current: the
+		// re-queue (disconnect, eviction, deadline, or recovery) or the
+		// re-dispatch already accounted for it.
+		return
+	case ev.Fault != "":
+		c.requeueOrFailLocked(j, ev.Fault, a.name, ev.Probes, ev.Losses)
+	case j.State == StatePending:
+		// Re-queued, and the original attempt's success arrived
+		// afterwards: it settles the instance before anything re-executes.
+		c.removeQueuedLocked(j.ID)
 		c.settleLocked(j, a, ev)
 	default:
-		// The common case: the executing agent reporting in.
-		if ev.Fault != "" {
-			j.probes, j.losses = ev.Probes, ev.Losses
-			c.requeueOrFailLocked(j, ev.Fault, a.name)
-		} else {
-			c.settleLocked(j, a, ev)
+		// The executing agent reporting in, or a success from an agent the
+		// instance was re-dispatched away from: the first success wins and
+		// the later report from the current holder dedupes above.
+		if cur := c.agents[j.Agent]; j.Agent != a.name && cur != nil {
+			delete(cur.running, j.ID)
 		}
+		c.settleLocked(j, a, ev)
 	}
 	c.dispatchLocked()
 	c.cond.Broadcast()
 }
 
-// settleLocked marks one instance completed. Callers hold c.mu.
-func (c *Coordinator) settleLocked(j *job, a *agentConn, ev otrace.Event) {
-	j.state = StateCompleted
-	j.agent = a.name
-	j.errMsg = ""
-	j.probes, j.losses = ev.Probes, ev.Losses
+// settleLocked marks one instance completed. The record names the
+// settling agent only when it is not the row's current one, so the
+// common settlement journals no agent name. Callers hold c.mu.
+func (c *Coordinator) settleLocked(j *JobRow, a *agentConn, ev otrace.Event) {
+	agent := ""
+	if a.name != j.Agent {
+		agent = a.name
+	}
+	c.commitLocked(completeRecord(j.ID, agent, ev.Probes, ev.Losses))
 	j.finishedNs = time.Now().UnixNano()
 	a.completed++
-	c.journalLocked(completeRecord(j.id, j.probes, j.losses))
 }
 
 // requeueOrFailLocked returns a running instance to the queue, or
-// fails it when attempts ran out. Callers hold c.mu.
-func (c *Coordinator) requeueOrFailLocked(j *job, reason, agent string) {
-	if j.attempts >= c.cfg.MaxAttempts {
-		j.state = StateFailed
-		j.errMsg = reason
+// fails it when attempts ran out, recording the ending attempt's
+// probe and loss counts. Callers hold c.mu.
+func (c *Coordinator) requeueOrFailLocked(j *JobRow, reason, agent string, probes, losses int) {
+	if j.Attempts >= c.cfg.MaxAttempts {
+		c.commitLocked(failRecord(j.ID, reason, probes, losses))
 		j.finishedNs = time.Now().UnixNano()
 		c.bumpFailedLocked()
-		c.journalLocked(failRecord(j.id, reason))
-		c.cfg.Logf("coord: job %s failed after %d attempts: %s", j.id, j.attempts, reason)
+		c.cfg.Logf("coord: job %s failed after %d attempts: %s", j.ID, j.Attempts, reason)
 		return
 	}
-	j.state = StatePending
-	j.agent = ""
-	j.errMsg = reason
+	c.commitLocked(requeueRecord(j.ID, reason, probes, losses))
 	j.avoid = agent
-	c.queue = append(c.queue, j.id)
+	c.queue = append(c.queue, j.ID)
 	c.bumpRequeuedLocked()
-	c.journalLocked(requeueRecord(j.id, reason))
 	c.cfg.Logf("coord: job %s re-queued (attempt %d, agent %s): %s",
-		j.id, j.attempts, agent, reason)
+		j.ID, j.Attempts, agent, reason)
 }
 
 // removeQueuedLocked drops one id from the pending queue. Callers hold
@@ -682,11 +615,11 @@ func (c *Coordinator) retireLocked(a *agentConn, reason string) {
 	a.send.Close() //nolint:errcheck // stream already ending
 	for id := range a.running {
 		delete(a.running, id)
-		j := c.jobs[id]
-		if j == nil || j.state != StateRunning {
+		j := c.t.byID[id]
+		if j == nil || j.State != StateRunning {
 			continue
 		}
-		c.requeueOrFailLocked(j, reason, a.name)
+		c.requeueOrFailLocked(j, reason, a.name, j.Probes, j.Losses)
 	}
 }
 
@@ -743,16 +676,16 @@ func (c *Coordinator) sweep() {
 	for _, name := range c.agentOrder {
 		a := c.agents[name]
 		for id := range a.running {
-			j := c.jobs[id]
-			if j == nil || j.state != StateRunning {
+			j := c.t.byID[id]
+			if j == nil || j.State != StateRunning {
 				continue
 			}
-			dl := int64(j.spec.Deadline)
+			dl := int64(j.Spec.Deadline)
 			if dl <= 0 || now-j.startedNs <= dl+int64(c.cfg.DeadlineSlack) {
 				continue
 			}
 			delete(a.running, id)
-			c.requeueOrFailLocked(j, "deadline exceeded (agent never reported)", a.name)
+			c.requeueOrFailLocked(j, "deadline exceeded (agent never reported)", a.name, j.Probes, j.Losses)
 		}
 	}
 	c.dispatchLocked()
@@ -837,24 +770,7 @@ const maxRecentJobs = 64
 func (c *Coordinator) Counts() JobCounts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.countsLocked()
-}
-
-func (c *Coordinator) countsLocked() JobCounts {
-	var jc JobCounts
-	for _, j := range c.jobs {
-		switch j.state {
-		case StatePending:
-			jc.Pending++
-		case StateRunning:
-			jc.Running++
-		case StateCompleted:
-			jc.Completed++
-		case StateFailed:
-			jc.Failed++
-		}
-	}
-	return jc
+	return c.t.counts
 }
 
 // Job reports one instance's status row, false for an unknown id.
@@ -862,24 +778,24 @@ func (c *Coordinator) Job(id string) (JobStatus, bool) {
 	now := time.Now().UnixNano()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j := c.jobs[id]
+	j := c.t.byID[id]
 	if j == nil {
 		return JobStatus{}, false
 	}
 	return c.jobRowLocked(j, now), true
 }
 
-func (c *Coordinator) jobRowLocked(j *job, now int64) JobStatus {
+func (c *Coordinator) jobRowLocked(j *JobRow, now int64) JobStatus {
 	row := JobStatus{
-		ID: j.id, Name: j.spec.Name, State: j.state, Agent: j.agent,
-		Attempts: j.attempts, Accepted: j.accepted,
-		Probes: j.probes, Losses: j.losses, Error: j.errMsg,
+		ID: j.ID, Name: j.Spec.Name, State: j.State, Agent: j.Agent,
+		Attempts: j.Attempts, Accepted: j.accepted,
+		Probes: j.Probes, Losses: j.Losses, Error: j.Err,
 	}
 	switch {
 	case j.finishedNs != 0 && j.startedNs != 0:
 		sec := float64(j.finishedNs-j.startedNs) / float64(time.Second)
 		row.RuntimeSec = &sec
-	case j.state == StateRunning && j.startedNs != 0:
+	case j.State == StateRunning && j.startedNs != 0:
 		sec := float64(now-j.startedNs) / float64(time.Second)
 		row.RuntimeSec = &sec
 	}
@@ -891,7 +807,7 @@ func (c *Coordinator) Status() Status {
 	now := time.Now().UnixNano()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Status{Jobs: c.countsLocked(), Requeued: c.requeued, Evicted: c.evicted}
+	st := Status{Jobs: c.t.counts, Requeued: c.requeued, Evicted: c.evicted}
 	if j := c.cfg.Journal; j != nil {
 		appends, compactions := j.Stats()
 		js := &JournalStatus{Path: j.Path(), Bytes: j.Size(),
@@ -921,12 +837,12 @@ func (c *Coordinator) Status() Status {
 		st.Agents = append(st.Agents, row)
 	}
 	sort.Slice(st.Agents, func(i, k int) bool { return st.Agents[i].Agent < st.Agents[k].Agent })
-	start := len(c.order) - maxRecentJobs
+	start := len(c.t.Jobs) - maxRecentJobs
 	if start < 0 {
 		start = 0
 	}
-	for _, id := range c.order[start:] {
-		st.Recent = append(st.Recent, c.jobRowLocked(c.jobs[id], now))
+	for _, j := range c.t.Jobs[start:] {
+		st.Recent = append(st.Recent, c.jobRowLocked(j, now))
 	}
 	return st
 }
@@ -950,7 +866,7 @@ func (c *Coordinator) exportMetrics(reg *obs.Registry) {
 			return
 		}
 		c.mu.Lock()
-		jc := c.countsLocked()
+		jc := c.t.counts
 		conns := 0
 		for _, a := range c.agents {
 			if a.connected {
@@ -987,7 +903,7 @@ func (c *Coordinator) WaitIdle(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		jc := c.countsLocked()
+		jc := c.t.counts
 		if jc.Pending == 0 && jc.Running == 0 {
 			return nil
 		}

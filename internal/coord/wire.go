@@ -31,9 +31,11 @@ import (
 //	ctrl_submit    everything ctrl_job carries, plus Index=recurrence
 //	               index and SentNs=submission wall clock (unix ns)
 //	ctrl_dispatch  Job=instance id, Name=agent, Count=attempt number
-//	ctrl_requeue   Job=instance id, Fault=reason
-//	ctrl_fail      Job=instance id, Fault=final error
-//	ctrl_complete  as on the wire (journal reuses it for settlement)
+//	ctrl_requeue   Job=instance id, Fault=reason, Probes, Losses=the
+//	               failed attempt's counts
+//	ctrl_fail      Job=instance id, Fault=final error, Probes, Losses
+//	ctrl_complete  Job=instance id, Probes, Losses, Name=settling agent
+//	               when it is not the dispatched one ("" otherwise)
 //
 // Seq is -1 on every control frame, like heartbeats: they are
 // plumbing, not probe events.
@@ -130,14 +132,14 @@ func dispatchRecord(id, agent string, attempt int) otrace.Event {
 	return otrace.Event{Ev: otrace.KindCtrlDispatch, Seq: -1, Job: id, Name: agent, Count: attempt}
 }
 
-func requeueRecord(id, reason string) otrace.Event {
-	return otrace.Event{Ev: otrace.KindCtrlRequeue, Seq: -1, Job: id, Fault: reason}
+func requeueRecord(id, reason string, probes, losses int) otrace.Event {
+	return otrace.Event{Ev: otrace.KindCtrlRequeue, Seq: -1, Job: id, Fault: reason, Probes: probes, Losses: losses}
 }
 
-func completeRecord(id string, probes, losses int) otrace.Event {
-	return otrace.Event{Ev: otrace.KindCtrlComplete, Seq: -1, Job: id, Probes: probes, Losses: losses}
+func completeRecord(id, agent string, probes, losses int) otrace.Event {
+	return otrace.Event{Ev: otrace.KindCtrlComplete, Seq: -1, Job: id, Name: agent, Probes: probes, Losses: losses}
 }
 
-func failRecord(id, errMsg string) otrace.Event {
-	return otrace.Event{Ev: otrace.KindCtrlFail, Seq: -1, Job: id, Fault: errMsg}
+func failRecord(id, errMsg string, probes, losses int) otrace.Event {
+	return otrace.Event{Ev: otrace.KindCtrlFail, Seq: -1, Job: id, Fault: errMsg, Probes: probes, Losses: losses}
 }

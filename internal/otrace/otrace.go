@@ -110,6 +110,8 @@ const (
 	// KindCtrlComplete is an agent reporting a finished job: Job is the
 	// instance id, Probes/Losses the result totals, DurNs the wall-clock
 	// execution time, and Fault the error message (empty on success).
+	// As a journal record it marks settlement, and Name carries the
+	// settling agent when that is not the dispatched one.
 	KindCtrlComplete Kind = "ctrl_complete"
 	// KindCtrlAck is a coordinator acknowledging that it settled (or
 	// deduplicated) a ctrl_complete: Job is the instance id. Agents
@@ -132,10 +134,12 @@ const (
 	KindCtrlDispatch Kind = "ctrl_dispatch"
 	// KindCtrlRequeue records a running instance returned to the queue
 	// (agent lost, lease expired, execution error with attempts left):
-	// Job is the instance id, Fault the reason.
+	// Job is the instance id, Fault the reason, Probes/Losses the ended
+	// attempt's totals.
 	KindCtrlRequeue Kind = "ctrl_requeue"
 	// KindCtrlFail records an instance failing terminally: Job is the
-	// instance id, Fault the final error.
+	// instance id, Fault the final error, Probes/Losses the last
+	// attempt's totals.
 	KindCtrlFail Kind = "ctrl_fail"
 )
 
