@@ -24,8 +24,7 @@ bench-test:
 
 # The experiment runner (internal/runner) and the obs registry are
 # the repository's real concurrency; the race detector is part of the
-# standard check. vet runs over every package, including the new
-# instrumentation set (internal/obs, cmd/benchjson).
+# standard check. vet runs over every package.
 race:
 	$(GO) test -race ./...
 
@@ -67,9 +66,13 @@ bench-snapshot:
 # a flush goroutine of its own (coalescing, short writes, redial
 # accounting). It then fuzzes the JSONL trace encoder against
 # encoding/json for a few seconds (FuzzJSONLEncode: arbitrary strings,
-# extreme integers, non-finite and boundary floats), and the Lindley
-# queue against the two-event queue it replaced (FuzzQueueReference:
-# random pipelines full of same-nanosecond ties), and the coordinator's
+# extreme integers, non-finite and boundary floats), the binary frame
+# decoder the relay wire and the journal share (FuzzFrameReader:
+# arbitrary bytes never panic it, every error short of a clean end
+# wraps ErrTruncated, and what it decoded re-encodes to the same
+# events), the Lindley queue against the two-event queue it replaced
+# (FuzzQueueReference: random pipelines full of same-nanosecond ties),
+# and the coordinator's
 # journal replay (FuzzRecover: arbitrary bytes never panic Recover, and
 # a compacted journal replays to the same table; minimization is capped
 # because every input writes and fsyncs a journal).
@@ -77,6 +80,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faultinject/... ./internal/pipestat/... \
 		./internal/online/... ./internal/coord/... ./internal/source/...
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLEncode$$' -fuzztime 5s ./internal/otrace/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 5s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueReference$$' -fuzztime 5s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/coord/
 

@@ -9,17 +9,14 @@
 //	bolotsim [-path inria|pitt] [-delta 50ms | -delta 8ms,20ms,50ms]
 //	         [-duration 10m] [-seed 42] [-noloss] [-nocross]
 //	         [-workers N] [-out trace.csv] [-trace-dir traces/]
-//	         [-trace-max-bytes N] [-online] [-relay host:port]
-//	         [-linger 0s]
+//	         [-online] [-relay host:port] [-linger 0s]
 //	         [-log info] [-logfmt text|json] [-debug-addr :6060]
 //	         [-version]
 //
 // -trace-dir additionally records every probe's lifecycle (sent,
 // enqueued per hop, dropped, echoed, rtt) as one otrace JSONL file per
-// job; the files are byte-identical at any -workers value.
-// -trace-max-bytes rotates each job's file into gzip segments
-// (job-NNN.jsonl.gz, job-NNN-001.jsonl.gz, ...) once it would exceed N
-// uncompressed bytes.
+// job (job-NNN.jsonl); the files are byte-identical at any -workers
+// value. -out writes each run's samples as a CSV trace.
 //
 // -online streams every job's events through the in-process analysis
 // engine (internal/online): running loss statistics, live bottleneck-μ
@@ -69,13 +66,9 @@ func main() {
 		noLoss   = flag.Bool("noloss", false, "disable random (faulty-interface) loss")
 		noCross  = flag.Bool("nocross", false, "disable Internet cross traffic")
 		workers  = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		out      = flag.String("out", "", "trace output file (.csv or .json); sweeps insert the δ before the extension")
+		out      = flag.String("out", "", "CSV trace output file; sweeps insert the δ before the extension")
 		traceDir = flag.String("trace-dir", "",
 			"directory for per-job probe-lifecycle event files (otrace JSONL); empty disables tracing")
-		traceMax = flag.Int64("trace-max-bytes", 0,
-			"rotate each job's trace into gzip segments after this many uncompressed bytes (0 = no rotation)")
-		traceWire = flag.Bool("trace-wire", false,
-			"write trace files in the binary wire form (job-NNN.otr, smaller and faster to re-read; supersedes -trace-max-bytes)")
 		onlineOn = flag.Bool("online", false,
 			"stream job events through the online analysis engine (serves /online on -debug-addr)")
 		relay = flag.String("relay", "",
@@ -162,12 +155,6 @@ func main() {
 	}
 	if *traceDir != "" {
 		opts = append(opts, runner.Traces(*traceDir))
-		if *traceMax > 0 {
-			opts = append(opts, runner.TraceMaxBytes(*traceMax))
-		}
-		if *traceWire {
-			opts = append(opts, runner.WireTraces())
-		}
 	}
 	if bus != nil {
 		// Produce stamps each event at the tap, counts it into the

@@ -20,15 +20,13 @@
 //	experiments [-quick] [-seed 42] [-plots] [-workers N]
 //	            [-log info] [-logfmt text|json] [-debug-addr :6060]
 //	            [-manifest experiments-manifest.json]
-//	            [-trace-dir traces/] [-trace-max-bytes N]
+//	            [-trace-dir traces/]
 //	            [-online] [-online-window N] [-relay host:port]
 //	            [-job-timeout 0] [-retries 0] [-version]
 //
-// -trace-dir writes one probe-lifecycle event file (otrace JSONL) per
-// job, referenced from the manifest; the files are byte-identical at
-// any -workers value. -trace-max-bytes rotates each job's file into
-// gzip segments once it would exceed N uncompressed bytes; the
-// manifest then lists every segment.
+// -trace-dir writes one probe-lifecycle event file (otrace JSONL,
+// job-NNN.jsonl) per job, referenced from the manifest; the files are
+// byte-identical at any -workers value.
 //
 // -online streams every job's events through the in-process analysis
 // engine (internal/online): while the reproduction is running, GET
@@ -93,10 +91,6 @@ var (
 		"run-manifest output path; empty disables the manifest")
 	traceDir = flag.String("trace-dir", "",
 		"directory for per-job probe-lifecycle event files (otrace JSONL); empty disables tracing")
-	traceMax = flag.Int64("trace-max-bytes", 0,
-		"rotate each job's trace into gzip segments after this many uncompressed bytes (0 = no rotation)")
-	traceWire = flag.Bool("trace-wire", false,
-		"write trace files in the binary wire form (job-NNN.otr, smaller and faster to re-read; supersedes -trace-max-bytes)")
 	onlineOn = flag.Bool("online", false,
 		"stream job events through the online analysis engine (serves /online on -debug-addr)")
 	onlineWin = flag.Int("online-window", 0,
@@ -260,12 +254,6 @@ func runAll(ctx context.Context, dur, longDur time.Duration) (map[string]*core.T
 	}
 	if *traceDir != "" {
 		opts = append(opts, runner.Traces(*traceDir))
-		if *traceMax > 0 {
-			opts = append(opts, runner.TraceMaxBytes(*traceMax))
-		}
-		if *traceWire {
-			opts = append(opts, runner.WireTraces())
-		}
 	}
 	if onlineBus != nil {
 		// Produce stamps and counts each tapped event into the online
@@ -340,16 +328,15 @@ func progressLine(total int) func(runner.Event) {
 func writeManifest(path string, results []runner.Result, summary runner.Summary) {
 	m := runner.NewManifest("experiments", *seed, results, summary)
 	m.Flags = map[string]string{
-		"quick":           strconv.FormatBool(*quick),
-		"plots":           strconv.FormatBool(*plots),
-		"workers":         strconv.Itoa(*workers),
-		"trace_dir":       *traceDir,
-		"trace_max_bytes": strconv.FormatInt(*traceMax, 10),
-		"online":          strconv.FormatBool(*onlineOn),
-		"online_window":   strconv.Itoa(*onlineWin),
-		"relay":           *relay,
-		"job_timeout":     jobTimeout.String(),
-		"retries":         strconv.Itoa(*retries),
+		"quick":         strconv.FormatBool(*quick),
+		"plots":         strconv.FormatBool(*plots),
+		"workers":       strconv.Itoa(*workers),
+		"trace_dir":     *traceDir,
+		"online":        strconv.FormatBool(*onlineOn),
+		"online_window": strconv.Itoa(*onlineWin),
+		"relay":         *relay,
+		"job_timeout":   jobTimeout.String(),
+		"retries":       strconv.Itoa(*retries),
 	}
 	m.Presets = []string{"inria", "pitt"}
 	snap := obs.Default.Snapshot()

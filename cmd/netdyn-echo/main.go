@@ -48,7 +48,7 @@ func main() {
 	var (
 		addr   = flag.String("addr", "0.0.0.0:7007", "UDP address to listen on")
 		quiet  = flag.Bool("quiet", false, "suppress per-session logging")
-		events = flag.String("trace", "", "probe-turnaround event output file (.otr = binary wire form, else otrace JSONL); empty disables")
+		events = flag.String("trace", "", "probe-turnaround event output file (otrace JSONL); empty disables")
 		faults = flag.String("faults", "",
 			"fault-injection plan (JSON, see internal/faultinject) applied to echoed replies")
 		obsFlags    = obs.RegisterFlags(flag.CommandLine)
@@ -85,7 +85,7 @@ func main() {
 	}
 	defer e.Close()
 	if *events != "" {
-		w, err := otrace.CreateFile(*events)
+		w, err := otrace.Create(*events)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -96,8 +96,8 @@ func main() {
 		count    = flag.Int("count", 0, "number of probes (0 = 10 minutes worth)")
 		size     = flag.Int("size", netdyn.DefaultPayload, "UDP payload bytes")
 		clockRes = flag.Duration("clockres", 0, "emulated clock resolution (e.g. 3.90625ms)")
-		out      = flag.String("out", "", "trace output file (.csv or .json); empty = summary only")
-		events   = flag.String("trace", "", "probe-lifecycle event output file (.otr = binary wire form, else otrace JSONL); empty disables")
+		out      = flag.String("out", "", "CSV trace output file; empty = summary only")
+		events   = flag.String("trace", "", "probe-lifecycle event output file (otrace JSONL); empty disables")
 		report   = flag.Duration("report", 10*time.Second, "in-flight progress report interval (0 disables)")
 		onlineOn = flag.Bool("online", false,
 			"stream probe events through the online analysis engine (serves /online on -debug-addr)")
@@ -207,7 +207,7 @@ func run(cfg netdyn.ProbeConfig, bus *online.Bus, eng *online.Engine, store *tsh
 	fmt.Printf("probing %s: %d probes of %d bytes, δ=%v\n", cfg.Target, cfg.Count, cfg.PayloadSize, cfg.Delta)
 	var sinks []otrace.Sink
 	if events != "" {
-		w, err := otrace.CreateFile(events)
+		w, err := otrace.Create(events)
 		if err != nil {
 			return err
 		}

@@ -28,10 +28,8 @@
 // with a bounded queue instead: a slow relay drops events (counted as
 // source.dropped{source=...}) rather than backpressuring the peer.
 //
-// -trace additionally appends every relayed event to a trace file —
-// the relay as a durable trace collector. A .otr extension selects the
-// binary wire form (smaller, cheaper to re-read); anything else is
-// JSONL.
+// -trace additionally writes every relayed event to an otrace JSONL
+// file (truncated at start) — the relay as a durable trace collector.
 //
 // -shards N replaces the single online engine with a pool of N
 // engines hashed by job tag (online.ShardIndex): per-job event order
@@ -82,7 +80,7 @@ func main() {
 	var (
 		listen = flag.String("listen", "127.0.0.1:7777", "address to accept relayed event streams on")
 		events = flag.String("trace", "",
-			"append every relayed event to this trace file (.otr = binary wire form, else JSONL); empty disables")
+			"write every relayed event to this otrace JSONL file; empty disables")
 		shards = flag.Int("shards", 1,
 			"online engine shards, hashed by job tag (1 = single engine)")
 		onlineWin = flag.Int("online-window", 0,
@@ -150,7 +148,7 @@ func run(listen, events string, pool *online.Pool, store *tshist.Store,
 	// hashes each event to its job's shard.
 	sinks := []otrace.Sink{pool}
 	if events != "" {
-		w, err := otrace.CreateFile(events)
+		w, err := otrace.Create(events)
 		if err != nil {
 			return err
 		}

@@ -96,7 +96,7 @@ func TestFullPipelineRealUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "real.json")
+	path := filepath.Join(t.TempDir(), "real.csv")
 	if err := trace.Save(path, tr); err != nil {
 		t.Fatal(err)
 	}

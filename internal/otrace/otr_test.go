@@ -1,7 +1,7 @@
 package otrace_test
 
 import (
-	"compress/gzip"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,6 +22,31 @@ func sampleEvents() []otrace.Event {
 	}
 }
 
+// writeFrames writes evs to path as a framed stream, the way the
+// coordinator's journal lays out its file.
+func writeFrames(t *testing.T, path string, evs []otrace.Event) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := otrace.NewFrameWriter(f)
+	for _, ev := range evs {
+		if err := fw.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fw.Events(); got != int64(len(evs)) {
+		t.Fatalf("frame writer counted %d events, want %d", got, len(evs))
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func readAll(t *testing.T, path string) []otrace.Event {
 	t.Helper()
 	var got []otrace.Event
@@ -34,37 +59,20 @@ func readAll(t *testing.T, path string) []otrace.Event {
 	return got
 }
 
-// TestWireArchiveRoundTrip: CreateWire writes a binary .otr segment
-// that Read auto-detects by magic and decodes to the identical events.
+// TestWireArchiveRoundTrip: a framed file (a journal's layout) leads
+// with the wire magic, and ReadFile detects it by that magic and
+// decodes the identical events.
 func TestWireArchiveRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seg.otr")
-	w, err := otrace.CreateWire(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "journal")
 	evs := sampleEvents()
-	for _, ev := range evs {
-		w.Emit(ev)
-	}
-	if got := w.Events(); got != int64(len(evs)) {
-		t.Fatalf("writer counted %d events, want %d", got, len(evs))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeFrames(t, path, evs)
 
-	// The file leads with the wire magic — the .otr signature.
-	head := make([]byte, 4)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	f.Close() //nolint:errcheck // read side
-	if string(head[:3]) != "OTR" {
-		t.Fatalf("file starts %q, want the OTR magic", head)
+	if string(data[:3]) != "OTR" {
+		t.Fatalf("file starts %q, want the OTR magic", data[:4])
 	}
 
 	got := readAll(t, path)
@@ -73,100 +81,13 @@ func TestWireArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCreateFileDispatch: CreateFile picks the format from the
-// extension — .otr is wire-framed, anything else is the JSONL text
-// form — and Read handles both transparently.
-func TestCreateFileDispatch(t *testing.T) {
-	dir := t.TempDir()
-	evs := sampleEvents()
-	for _, name := range []string{"trace.otr", "trace.jsonl"} {
-		path := filepath.Join(dir, name)
-		w, err := otrace.CreateFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range evs {
-			w.Emit(ev)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := readAll(t, path); !reflect.DeepEqual(got, evs) {
-			t.Fatalf("%s: round trip mismatch", name)
-		}
-	}
-	// The two encodings must actually differ (the .otr is binary).
-	bin, err := os.ReadFile(filepath.Join(dir, "trace.otr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	txt, err := os.ReadFile(filepath.Join(dir, "trace.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(bin) == string(txt) {
-		t.Fatal("wire and text encodings are identical; dispatch is broken")
-	}
-	if len(bin) >= len(txt) {
-		t.Errorf("wire form (%d bytes) not smaller than text (%d bytes)", len(bin), len(txt))
-	}
-}
-
-// TestWireArchiveGzip: a gzip-compressed .otr still reads — Read
-// unwraps the gzip layer first, then re-detects the wire magic on the
-// decompressed stream.
-func TestWireArchiveGzip(t *testing.T) {
-	dir := t.TempDir()
-	raw := filepath.Join(dir, "seg.otr")
-	w, err := otrace.CreateWire(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := sampleEvents()
-	for _, ev := range evs {
-		w.Emit(ev)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gzPath := filepath.Join(dir, "seg.otr.gz")
-	f, err := os.Create(gzPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zw := gzip.NewWriter(f)
-	if _, err := zw.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readAll(t, gzPath); !reflect.DeepEqual(got, evs) {
-		t.Fatal("gzip-wrapped wire archive round trip mismatch")
-	}
-}
-
-// TestWireArchiveTruncated: a mid-frame truncation surfaces as an
-// error naming the frame, not a silent short read.
+// TestWireArchiveTruncated: a framed file cut mid-frame (a journal
+// abandoned by a crash) replays its whole frames through ReadFile and
+// then fails with an error wrapping ErrTruncated, not a silent short
+// read.
 func TestWireArchiveTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seg.otr")
-	w, err := otrace.CreateWire(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range sampleEvents() {
-		w.Emit(ev)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "journal")
+	writeFrames(t, path, sampleEvents())
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -179,29 +100,10 @@ func TestWireArchiveTruncated(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated archive read cleanly")
 	}
+	if !errors.Is(err, otrace.ErrTruncated) {
+		t.Fatalf("error %v does not wrap ErrTruncated", err)
+	}
 	if n == 0 {
 		t.Error("no events decoded before the truncation point")
-	}
-}
-
-// TestWireWriterStream: NewWireWriter works on any io.Writer (a
-// network socket, a pipe) — the same frames CreateWire puts on disk.
-func TestWireWriterStream(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "by-hand.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := otrace.NewWireWriter(f)
-	evs := sampleEvents()
-	for _, ev := range evs {
-		w.Emit(ev)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Even without the .otr extension the content self-identifies.
-	if got := readAll(t, path); !reflect.DeepEqual(got, evs) {
-		t.Fatal("streamed wire round trip mismatch")
 	}
 }

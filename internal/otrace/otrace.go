@@ -13,6 +13,12 @@
 // (see trace.FromEvents), and carries strictly more information: where
 // each probe was delayed and where the lost ones died.
 //
+// JSONL is the one trace-file encoding: every trace file, from a
+// runner job's to a relay's, is a Writer's output. The binary frame
+// codec in wire.go (FrameWriter, FrameReader) is the relay wire and
+// the coordinator's journal, not a trace archive; Read accepts both
+// so the journal replays through ReadFile.
+//
 // Sinks are race-safe. Writer serializes events synchronously through
 // a mutex, so a single-goroutine producer (the simulator) gets
 // byte-deterministic files; Bounded decouples a latency-sensitive
@@ -22,13 +28,11 @@ package otrace
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
@@ -220,28 +224,11 @@ type Writer struct {
 	// line is the JSONL record buffer, reused by every Emit under mu so
 	// steady-state encoding allocates nothing.
 	line []byte
-
-	// fw, when non-nil, switches the Writer to binary wire framing (the
-	// ".otr" archive format): events go through a FrameWriter instead of
-	// the JSONL encoder. Wire mode is single-segment — rotation counts
-	// JSONL bytes and stays JSONL-only.
-	fw *FrameWriter
-
-	// Rotation state, used only by CreateRotating. maxBytes counts
-	// uncompressed JSONL bytes per segment: the rotation decision must
-	// be independent of gzip's internal state so identical event
-	// sequences always cut segments at identical event boundaries.
-	maxBytes int64
-	written  int64
-	seg      int
-	dir      string
-	base     string
-	paths    []string
 }
 
-// writeBufSize is the JSONL write buffer of plain and rotating
-// Writers. A traced sweep writes hundreds of megabytes of JSONL, and
-// bufio's 4 KiB default would cost one write syscall per ~25 events.
+// writeBufSize is the Writer's write buffer. A traced sweep writes
+// hundreds of megabytes of JSONL, and bufio's 4 KiB default would cost
+// one write syscall per ~25 events.
 const writeBufSize = 64 << 10
 
 // NewWriter returns a Writer streaming to w.
@@ -261,123 +248,8 @@ func Create(path string) (*Writer, error) {
 	return w, nil
 }
 
-// WireExt is the conventional extension for wire-framed binary trace
-// files — the ~4× denser archive format that CreateFile selects by
-// extension and Read detects by magic.
-const WireExt = ".otr"
-
-// NewWireWriter returns a Writer streaming binary wire frames to w
-// (see wire.go) instead of JSONL. Like the JSONL Writer it serializes
-// Emit with a mutex and buffers until Close, so an archive writer pays
-// one syscall per buffer, not per frame.
-func NewWireWriter(w io.Writer) *Writer {
-	return &Writer{fw: NewFrameWriter(w)}
-}
-
-// CreateWire opens (truncating) a wire-framed binary trace file at
-// path and returns a Writer that closes it on Close. Read, ReadFile,
-// and FileSource detect the format by magic, so ".otr" files replay
-// interchangeably with JSONL traces.
-func CreateWire(path string) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("otrace: %w", err)
-	}
-	w := NewWireWriter(f)
-	w.c = f
-	return w, nil
-}
-
-// CreateFile opens a trace file choosing the encoding by extension:
-// WireExt selects binary wire framing, anything else JSONL.
-func CreateFile(path string) (*Writer, error) {
-	if filepath.Ext(path) == WireExt {
-		return CreateWire(path)
-	}
-	return Create(path)
-}
-
-// CreateRotating opens a rotating gzip-compressed trace under dir.
-// The first segment is <base>.jsonl.gz; when a segment's uncompressed
-// size would exceed maxBytes the Writer cuts over to <base>-001.jsonl.gz,
-// <base>-002.jsonl.gz, and so on, always at an event boundary (a
-// segment holds at least one event regardless of maxBytes). maxBytes
-// <= 0 disables rotation: everything lands in the single .gz segment.
-// Paths reports the segments written so far; Read and ReadFiles
-// decompress them transparently.
-func CreateRotating(dir, base string, maxBytes int64) (*Writer, error) {
-	w := &Writer{maxBytes: maxBytes, dir: dir, base: base}
-	if err := w.openSegment(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// segPath names segment w.seg.
-func (w *Writer) segPath() string {
-	name := w.base
-	if w.seg > 0 {
-		name = fmt.Sprintf("%s-%03d", w.base, w.seg)
-	}
-	return filepath.Join(w.dir, name+".jsonl.gz")
-}
-
-// openSegment starts the current segment file. Caller holds w.mu (or
-// is the constructor).
-func (w *Writer) openSegment() error {
-	path := w.segPath()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("otrace: %w", err)
-	}
-	zw := gzip.NewWriter(f)
-	w.bw = bufio.NewWriterSize(zw, writeBufSize)
-	w.c = closerFunc(func() error {
-		if err := zw.Close(); err != nil {
-			f.Close() //nolint:errcheck // gzip error takes precedence
-			return err
-		}
-		return f.Close()
-	})
-	w.paths = append(w.paths, path)
-	w.written = 0
-	return nil
-}
-
-// closeSegment flushes and closes the current segment. Caller holds
-// w.mu.
-func (w *Writer) closeSegment() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("otrace: flush: %w", err)
-	}
-	if w.c != nil {
-		if err := w.c.Close(); err != nil {
-			return fmt.Errorf("otrace: close: %w", err)
-		}
-		w.c = nil
-	}
-	return nil
-}
-
-// Paths returns the files this Writer has opened, in write order. For
-// plain Create/NewWriter writers it is nil; for rotating writers it
-// lists every segment.
-func (w *Writer) Paths() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.paths...)
-}
-
-type closerFunc func() error
-
-func (f closerFunc) Close() error { return f() }
-
 // Emit implements Sink.
 func (w *Writer) Emit(ev Event) {
-	if w.fw != nil {
-		w.emitWire(ev)
-		return
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -390,35 +262,8 @@ func (w *Writer) Emit(ev Event) {
 	}
 	line = append(line, '\n')
 	w.line = line
-	rec := int64(len(line))
-	if w.maxBytes > 0 && w.written > 0 && w.written+rec > w.maxBytes {
-		if err := w.closeSegment(); err != nil {
-			w.err = err
-			return
-		}
-		w.seg++
-		if err := w.openSegment(); err != nil {
-			w.err = err
-			return
-		}
-	}
 	if _, err := w.bw.Write(line); err != nil {
 		w.err = fmt.Errorf("otrace: write event: %w", err)
-		return
-	}
-	w.written += rec
-	w.n.Add(1)
-}
-
-// emitWire writes one event as a binary frame (wire-mode Writer).
-func (w *Writer) emitWire(ev Event) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return
-	}
-	if err := w.fw.WriteEvent(ev); err != nil {
-		w.err = err
 		return
 	}
 	w.n.Add(1)
@@ -432,14 +277,8 @@ func (w *Writer) Events() int64 { return w.n.Load() }
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var flushErr error
-	if w.fw != nil {
-		flushErr = w.fw.Flush()
-	} else {
-		flushErr = w.bw.Flush()
-	}
-	if flushErr != nil && w.err == nil {
-		w.err = fmt.Errorf("otrace: flush: %w", flushErr)
+	if err := w.bw.Flush(); err != nil && w.err == nil {
+		w.err = fmt.Errorf("otrace: flush: %w", err)
 	}
 	if w.c != nil {
 		if err := w.c.Close(); err != nil && w.err == nil {
@@ -583,38 +422,22 @@ func (m multiSink) Emit(ev Event) {
 	}
 }
 
-// ErrTruncated reports that a trace stream ended mid-record: a gzip
-// segment cut off by a crash, or a JSONL line half-written when the
-// process died. Read delivers every decodable event before returning
-// it, so callers can keep the prefix (check with errors.Is) instead of
-// discarding the whole trace.
+// ErrTruncated reports that a trace stream ended mid-record: a JSONL
+// line half-written when the process died, or a frame cut short in a
+// crashed coordinator's journal. Read delivers every decodable event
+// before returning it, so callers can keep the prefix (check with
+// errors.Is) instead of discarding the whole trace.
 var ErrTruncated = errors.New("otrace: truncated trace")
 
 // Read decodes an event stream, calling fn for every event in order.
-// The encoding is detected by magic number: gzip streams (rotated
-// segments) are decompressed transparently, wire-framed streams
-// ("OTR2"/"OTR1" magic — CreateWire's .otr archives) are frame-decoded,
-// and anything else is parsed as JSONL. A malformed record or a
-// corrupt/truncated stream stops the read after the last good event
-// and returns an error wrapping ErrTruncated; an fn error stops it
+// The encoding is detected by magic number: wire-framed streams
+// ("OTR2"/"OTR1" magic — a coordinator journal) are frame-decoded, and
+// anything else is parsed as JSONL. A malformed record or a corrupt or
+// truncated stream stops the read after the last good event and
+// returns an error wrapping ErrTruncated; an fn error stops it
 // immediately and is returned as-is (wrapped with the record number).
 func Read(r io.Reader, fn func(Event) error) error {
 	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return fmt.Errorf("%w: gzip: %v", ErrTruncated, err)
-		}
-		defer zr.Close() //nolint:errcheck // read side
-		// A gzip member may itself wrap either encoding.
-		return readDetect(bufio.NewReader(zr), fn)
-	}
-	return readDetect(br, fn)
-}
-
-// readDetect dispatches on the (already de-gzipped) stream's leading
-// bytes: wire magic → frames, otherwise JSONL.
-func readDetect(br *bufio.Reader, fn func(Event) error) error {
 	if magic, err := br.Peek(4); err == nil && isWireMagic(magic) {
 		return readFrames(br, fn)
 	}
@@ -642,8 +465,8 @@ func readFrames(r io.Reader, fn func(Event) error) error {
 	}
 }
 
-// ReadFile opens path and replays its events through fn, handling
-// plain and gzip-compressed traces alike.
+// ReadFile opens path and replays its events through fn, whichever of
+// Read's two encodings it holds.
 func ReadFile(path string, fn func(Event) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -656,8 +479,8 @@ func ReadFile(path string, fn func(Event) error) error {
 	return nil
 }
 
-// ReadFiles replays a sequence of trace segments (as produced by a
-// rotating Writer) through fn in order, as if they were one stream.
+// ReadFiles replays a sequence of trace files through fn in order, as
+// if they were one stream.
 func ReadFiles(paths []string, fn func(Event) error) error {
 	for _, p := range paths {
 		if err := ReadFile(p, fn); err != nil {
@@ -688,9 +511,8 @@ func readLines(r io.Reader, fn func(Event) error) error {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		// Scanner errors here are stream-level: a truncated or corrupt
-		// gzip segment (unexpected EOF, bad checksum) or an oversized
-		// line from garbage data.
+		// Scanner errors here are stream-level: a failing reader or an
+		// oversized line from garbage data.
 		return fmt.Errorf("%w: read: %v", ErrTruncated, err)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -197,5 +198,88 @@ func TestReadRejectsGarbage(t *testing.T) {
 	err := Read(strings.NewReader("{\"t\":1}\nnot json\n"), func(Event) error { return nil })
 	if err == nil {
 		t.Fatal("garbage line accepted")
+	}
+}
+
+type countSink struct{ n atomic.Int64 }
+
+func (c *countSink) Emit(Event) { c.n.Add(1) }
+
+func TestMulti(t *testing.T) {
+	var a, b countSink
+	if s := Multi(nil, nil); s != nil {
+		t.Errorf("Multi of nils = %v, want nil", s)
+	}
+	if s := Multi(&a, nil); s != Sink(&a) {
+		t.Errorf("Multi of one sink should unwrap")
+	}
+	// Discard is dropped like nil: composing it in costs nothing, and a
+	// composition of nothing but Discard is nil, so producers skip
+	// building events nobody keeps.
+	if s := Multi(Discard, nil); s != nil {
+		t.Errorf("Multi(Discard, nil) = %v, want nil", s)
+	}
+	if s := Multi(&a, Discard); s != Sink(&a) {
+		t.Errorf("Multi(&a, Discard) = %v, want &a unwrapped", s)
+	}
+	m := Multi(&a, nil, &b)
+	m.Emit(Event{Ev: KindRTT})
+	m.Emit(Event{Ev: KindRTT})
+	if a.n.Load() != 2 || b.n.Load() != 2 {
+		t.Errorf("fan-out counts a=%d b=%d, want 2/2", a.n.Load(), b.n.Load())
+	}
+}
+
+// Drop accounting under concurrent senders: every emitted event must
+// be either delivered downstream or counted as dropped — no loss, no
+// double counting — even with Close racing the tail of the send burst.
+// Run with -race to validate the synchronization itself.
+func TestBoundedConcurrentDropAccounting(t *testing.T) {
+	var sink countSink
+	b := NewBounded(&sink, 4) // tiny queue to force real drops
+	const (
+		senders = 8
+		perSend = 2000
+	)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSend; i++ {
+				b.Emit(Event{Ev: KindRTT, Seq: s*perSend + i})
+			}
+		}(s)
+	}
+	wg.Wait()
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	delivered, dropped := sink.n.Load(), b.Dropped()
+	if delivered+dropped != senders*perSend {
+		t.Fatalf("delivered %d + dropped %d = %d, want %d",
+			delivered, dropped, delivered+dropped, senders*perSend)
+	}
+	if delivered == 0 {
+		t.Error("nothing delivered: queue never drained")
+	}
+	t.Logf("delivered=%d dropped=%d", delivered, dropped)
+}
+
+// Emit after Close must count as dropped, not panic or deliver.
+func TestBoundedEmitAfterClose(t *testing.T) {
+	var sink countSink
+	b := NewBounded(&sink, 4)
+	b.Emit(Event{Ev: KindRTT})
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Dropped()
+	b.Emit(Event{Ev: KindRTT})
+	if got := b.Dropped(); got != before+1 {
+		t.Errorf("Dropped after post-Close Emit = %d, want %d", got, before+1)
+	}
+	if sink.n.Load() != 1 {
+		t.Errorf("delivered = %d, want 1", sink.n.Load())
 	}
 }

@@ -2,7 +2,6 @@ package otrace
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,8 +9,8 @@ import (
 )
 
 // sampleTrace builds a small but realistic event stream and returns it
-// encoded both as plain JSONL and as one gzip segment, plus the events.
-func sampleTrace(t testing.TB) (events []Event, plain, gz []byte) {
+// encoded both as plain JSONL and as a framed stream, plus the events.
+func sampleTrace(t testing.TB) (events []Event, plain, wire []byte) {
 	t.Helper()
 	events = []Event{
 		{Ev: KindRunStart, Seq: -1, Name: "trunc δ=50ms", DeltaNs: 50e6, Count: 3},
@@ -31,15 +30,7 @@ func sampleTrace(t testing.TB) (events []Event, plain, gz []byte) {
 		t.Fatal(err)
 	}
 	plain = append([]byte(nil), buf.Bytes()...)
-	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
-	if _, err := zw.Write(plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return events, plain, zbuf.Bytes()
+	return events, plain, frameStream(t, events)
 }
 
 // readAll collects the events Read delivers and the terminal error.
@@ -50,36 +41,6 @@ func readAll(data []byte) ([]Event, error) {
 		return nil
 	})
 	return got, err
-}
-
-func TestReadTruncatedGzip(t *testing.T) {
-	events, _, gz := sampleTrace(t)
-	// Cutting the gzip segment anywhere mid-stream must still yield a
-	// prefix of the events plus ErrTruncated — never a total failure.
-	sawPartial := false
-	for cut := 3; cut < len(gz); cut++ {
-		got, err := readAll(gz[:cut])
-		if err == nil {
-			t.Fatalf("cut=%d: want ErrTruncated, got nil (events=%d)", cut, len(got))
-		}
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut=%d: error %v does not wrap ErrTruncated", cut, err)
-		}
-		if len(got) > len(events) {
-			t.Fatalf("cut=%d: %d events from a %d-event trace", cut, len(got), len(events))
-		}
-		for i, ev := range got {
-			if ev != events[i] {
-				t.Fatalf("cut=%d: event %d = %+v, want %+v", cut, i, ev, events[i])
-			}
-		}
-		if len(got) > 0 {
-			sawPartial = true
-		}
-	}
-	if !sawPartial {
-		t.Fatal("no truncation point recovered any events; lenient read is not working")
-	}
 }
 
 func TestReadTruncatedPlain(t *testing.T) {
@@ -107,9 +68,10 @@ func TestReadTruncatedPlain(t *testing.T) {
 func TestReadFileTruncatedKeepsSentinel(t *testing.T) {
 	// ReadFile wraps errors with the path; errors.Is must still see
 	// through to ErrTruncated.
-	_, _, gz := sampleTrace(t)
-	path := filepath.Join(t.TempDir(), "trace.jsonl.gz")
-	if err := os.WriteFile(path, gz[:len(gz)/2], 0o644); err != nil {
+	_, plain, _ := sampleTrace(t)
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	// Two bytes short of the end cuts the last record mid-line.
+	if err := os.WriteFile(path, plain[:len(plain)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err := ReadFile(path, func(Event) error { return nil })
@@ -119,13 +81,13 @@ func TestReadFileTruncatedKeepsSentinel(t *testing.T) {
 }
 
 func FuzzReadCorrupted(f *testing.F) {
-	_, plain, gz := sampleTrace(f)
+	_, plain, wire := sampleTrace(f)
 	f.Add(plain, 0, byte(0))
-	f.Add(gz, 0, byte(0))
-	f.Add(gz, len(gz)/2, byte(0xff))
+	f.Add(wire, 0, byte(0))
+	f.Add(wire, len(wire)/2, byte(0xff))
 	f.Add(plain, len(plain)/3, byte('{'))
 	f.Add([]byte("{\"t\":1"), 0, byte(0))
-	f.Add([]byte{0x1f, 0x8b}, 0, byte(0))
+	f.Add([]byte("OTR9"), 0, byte(0)) // unknown frame version: read as JSONL
 	events, _, _ := sampleTrace(f)
 	f.Fuzz(func(t *testing.T, data []byte, flip int, b byte) {
 		if flip >= 0 && flip < len(data) {
@@ -139,7 +101,7 @@ func FuzzReadCorrupted(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("error %v does not wrap ErrTruncated", err)
 		}
-		if bytes.Equal(data, plain) || bytes.Equal(data, gz) {
+		if bytes.Equal(data, plain) || bytes.Equal(data, wire) {
 			if err != nil || len(got) != len(events) {
 				t.Fatalf("uncorrupted stream: got %d events, err=%v", len(got), err)
 			}

@@ -31,9 +31,9 @@ import (
 // the fleet control-frame family (KindCtrlRegister/Job/Accept/
 // Complete), which reuses existing fields — ride on the self-describing
 // Kind string and need no version bump; only appending or reordering
-// payload fields does. The same framing now also serves as the ".otr"
-// archive format (CreateWire), which is why Read sniffs this magic to
-// tell wire files from JSONL.
+// payload fields does. The same framing is the coordinator's journal
+// file, which is why Read sniffs this magic to tell a journal from
+// JSONL.
 var (
 	wireMagic   = [4]byte{'O', 'T', 'R', '2'}
 	wireMagicV1 = [4]byte{'O', 'T', 'R', '1'}
@@ -211,9 +211,9 @@ func (d *decoder) string() string {
 // internally; call Flush to push frames to the underlying writer
 // (WriteEvent does not flush, so a caller batching events pays one
 // syscall per Flush, not per event). FrameWriter is not safe for
-// concurrent use — wrap it in a Sink that serializes (see
-// NewWireWriter). internal/source.Sender, which coalesces frames for a
-// flush goroutine of its own, builds them with AppendFrame instead.
+// concurrent use; the coordinator's journal, its one caller, holds a
+// lock of its own. internal/source.Sender, which coalesces frames for
+// a flush goroutine of its own, builds them with AppendFrame instead.
 type FrameWriter struct {
 	bw  *bufio.Writer
 	buf []byte

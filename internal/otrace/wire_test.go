@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -169,17 +170,7 @@ func TestDecodeTrailingBytes(t *testing.T) {
 // version-1 sender (OTR1 magic, payloads ending before the Value
 // field) decodes cleanly on the current reader, Value defaulting to 0.
 func TestWireAcceptsV1(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("OTR1")
-	var lenBuf [10]byte
-	for _, want := range wireEvents() {
-		payload := AppendEvent(nil, want)
-		payload = payload[:len(payload)-1] // wireEvents carries no Value; strip its zero byte
-		n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-		buf.Write(lenBuf[:n])
-		buf.Write(payload)
-	}
-	fr, err := NewFrameReader(&buf)
+	fr, err := NewFrameReader(bytes.NewReader(v1Stream(wireEvents())))
 	if err != nil {
 		t.Fatalf("OTR1 stream rejected: %v", err)
 	}
@@ -195,6 +186,89 @@ func TestWireAcceptsV1(t *testing.T) {
 	if _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
 	}
+}
+
+// v1Stream frames evs the way a version-1 sender did: OTR1 magic and
+// payloads ending before the Value field (evs must carry no Value).
+func v1Stream(evs []Event) []byte {
+	buf := []byte("OTR1")
+	for _, ev := range evs {
+		payload := AppendEvent(nil, ev)
+		payload = payload[:len(payload)-1] // strip the zero Value byte
+		buf = binary.AppendUvarint(buf, uint64(len(payload)))
+		buf = append(buf, payload...)
+	}
+	return buf
+}
+
+// frameStream frames evs as the current FrameWriter does.
+func frameStream(t testing.TB, evs []Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	for _, ev := range evs {
+		if err := fw.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzFrameReader feeds arbitrary bytes to the frame decoder that the
+// relay wire and the coordinator's journal share. NewFrameReader and
+// Next never panic, every error other than a clean io.EOF wraps
+// ErrTruncated, and the events decoded before the stream ended
+// re-encode through FrameWriter to a stream that decodes to the same
+// events.
+func FuzzFrameReader(f *testing.F) {
+	v2 := frameStream(f, wireEvents())
+	f.Add(v2)
+	f.Add(v1Stream(wireEvents()))
+	f.Add(v2[:len(v2)-5]) // cut mid-frame
+	f.Add(append([]byte("OTR3"), v2[4:]...))
+	f.Add(frameStream(f, []Event{{Ev: KindAlert, Seq: -1, Value: math.NaN()}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got []Event
+		fr, err := NewFrameReader(bytes.NewReader(data))
+		for err == nil {
+			var ev Event
+			if ev, err = fr.Next(); err == nil {
+				got = append(got, ev)
+			}
+		}
+		if err != io.EOF && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("after %d events: error %v neither io.EOF nor ErrTruncated", len(got), err)
+		}
+		fr2, err := NewFrameReader(bytes.NewReader(frameStream(t, got)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range got {
+			ev, err := fr2.Next()
+			if err != nil {
+				t.Fatalf("re-encoded event %d: %v", i, err)
+			}
+			if !sameEvent(ev, want) {
+				t.Fatalf("re-encoded event %d:\ngot  %+v\nwant %+v", i, ev, want)
+			}
+		}
+		if _, err := fr2.Next(); err != io.EOF {
+			t.Fatalf("re-encoded stream after %d events: %v, want io.EOF", len(got), err)
+		}
+	})
+}
+
+// sameEvent compares events field by field, Value by its bits so a
+// decoded NaN equals itself.
+func sameEvent(a, b Event) bool {
+	if math.Float64bits(a.Value) != math.Float64bits(b.Value) {
+		return false
+	}
+	a.Value, b.Value = 0, 0
+	return a == b
 }
 
 // TestBoundedCounted: the onDrop hook fires once per discarded event,

@@ -56,10 +56,6 @@ type ManifestJob struct {
 	// TraceFile points at the job's lifecycle-event file (otrace
 	// JSONL) when the pool ran with the Traces option.
 	TraceFile string `json:"trace_file,omitempty"`
-	// TraceFiles lists every rotated segment (otrace .jsonl.gz) when
-	// the pool ran with Traces plus TraceMaxBytes; TraceFile then
-	// names the first segment.
-	TraceFiles []string `json:"trace_files,omitempty"`
 	// Attempts records how many attempts the job needed when it was
 	// redispatched (Job.Retries); omitted for ordinary first-attempt
 	// outcomes so retry-free manifests are unchanged.
@@ -116,8 +112,7 @@ func NewManifest(tool string, rootSeed int64, results []Result, sum Summary) *Ma
 			CLP:    finite(r.Stats.CLP),
 			PLG:    finite(r.Stats.PLG),
 
-			TraceFile:  r.TraceFile,
-			TraceFiles: r.TraceFiles,
+			TraceFile: r.TraceFile,
 		}
 		if r.Attempts > 1 {
 			j.Attempts = r.Attempts

@@ -210,54 +210,6 @@ func TestRetryNotAttemptedOnCancellation(t *testing.T) {
 	}
 }
 
-// TestRetryCleansStaleRotatedSegments: a failed attempt that rotated
-// through several gzip segments must not leave orphans behind when the
-// retry produces fewer segments.
-func TestRetryCleansStaleRotatedSegments(t *testing.T) {
-	var calls atomic.Int64
-	dir := t.TempDir()
-	jobs := []Job{{
-		Label: "rotate",
-		Source: fakeSource(func(ctx context.Context, cfg core.SimConfig) (*core.Trace, error) {
-			if calls.Add(1) == 1 {
-				// Enough events to force several 1 KiB segments.
-				for i := 0; i < 2000; i++ {
-					cfg.Trace.Emit(otrace.Event{Ev: otrace.KindProbeSent, Seq: i,
-						Flow: "padding-padding-padding"})
-				}
-				return nil, errors.New("attempt 1 fails after heavy rotation")
-			}
-			cfg.Trace.Emit(otrace.Event{Ev: otrace.KindProbeSent, Seq: 0})
-			return tinyTrace("rotate"), nil
-		}),
-		Retries: 1,
-	}}
-	results := Run(context.Background(), 7, jobs, Traces(dir), TraceMaxBytes(1024))
-	r := results[0]
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", r.Attempts)
-	}
-	listed := map[string]bool{}
-	for _, p := range r.TraceFiles {
-		listed[filepath.Base(p)] = true
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !listed[e.Name()] {
-			t.Errorf("stale file %q left behind (result lists %v)", e.Name(), r.TraceFiles)
-		}
-	}
-	if len(entries) != len(r.TraceFiles) {
-		t.Errorf("dir has %d files, result lists %d", len(entries), len(r.TraceFiles))
-	}
-}
-
 // TestManifestWriteAtomic: Write must replace an existing manifest via
 // rename — the old document stays intact if anything fails, and no
 // temp files survive a successful write.

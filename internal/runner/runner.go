@@ -78,10 +78,6 @@ type Result struct {
 	// TraceFile is the job's lifecycle-event file (otrace JSONL) when
 	// the pool ran with the Traces option; empty otherwise.
 	TraceFile string
-	// TraceFiles lists every rotated trace segment when the pool ran
-	// with Traces plus TraceMaxBytes (TraceFile is then the first
-	// segment); nil for single-file traces.
-	TraceFiles []string
 	// Attempts is how many times the job ran (1 for a first-attempt
 	// success; up to Job.Retries+1); 0 for jobs cancelled before
 	// dispatch.
@@ -180,13 +176,11 @@ func (s Summary) String() string {
 }
 
 type options struct {
-	workers       int
-	progress      func(Event)
-	metrics       *obs.Registry
-	traceDir      string
-	traceMaxBytes int64
-	traceWire     bool
-	sinks         []otrace.Sink
+	workers  int
+	progress func(Event)
+	metrics  *obs.Registry
+	traceDir string
+	sinks    []otrace.Sink
 }
 
 // Option configures Run.
@@ -229,35 +223,6 @@ func Traces(dir string) Option {
 	return func(o *options) { o.traceDir = dir }
 }
 
-// TraceMaxBytes enables trace-file rotation for the Traces option:
-// each job's event stream is written as gzip-compressed segments
-// ("job-NNN.jsonl.gz", "job-NNN-001.jsonl.gz", ...) cut whenever a
-// segment's uncompressed size would exceed n bytes. Segments are cut
-// at event boundaries from the same deterministic stream, so the set
-// of segments is identical at any worker count. n <= 0 keeps the
-// single uncompressed file per job.
-func TraceMaxBytes(n int64) Option {
-	return func(o *options) { o.traceMaxBytes = n }
-}
-
-// WireTraces switches the Traces option to the binary wire format:
-// each job writes WireTraceFileName(index) ("job-NNN.otr"), the same
-// length-prefixed frames the relay wire carries, roughly 4–6× smaller
-// than the JSONL form and cheaper to re-read (source.FileSource and
-// otrace.Read detect the format by magic, so downstream consumers
-// need no flag). Byte-identity at any worker count holds exactly as
-// for text traces: one file per job, written synchronously from the
-// job's goroutine. Supersedes TraceMaxBytes — wire archives are
-// single segments.
-func WireTraces() Option {
-	return func(o *options) { o.traceWire = true }
-}
-
-// WireTraceFileName is the per-job trace file name WireTraces uses.
-func WireTraceFileName(index int) string {
-	return fmt.Sprintf("job-%03d%s", index, otrace.WireExt)
-}
-
 // Sink tees every job's trace events — bracketed by job_start and
 // job_finish — into s, tagged with the job's label and index (see
 // online.Tag), so external consumers can follow the sweep live. s
@@ -277,12 +242,6 @@ func Sink(s otrace.Sink) Option {
 // uses: "job-NNN.jsonl" with the job's submission index.
 func TraceFileName(index int) string {
 	return fmt.Sprintf("job-%03d.jsonl", index)
-}
-
-// TraceBaseName is the per-job segment base name rotation uses:
-// "job-NNN", yielding "job-NNN.jsonl.gz" and numbered successors.
-func TraceBaseName(index int) string {
-	return fmt.Sprintf("job-%03d", index)
 }
 
 // Run executes the jobs on a worker pool and returns one Result per
@@ -454,12 +413,9 @@ func runOne(ctx context.Context, rootSeed int64, index int, job Job, o *options)
 	var res Result
 	for a := 1; a <= attempts; a++ {
 		if a > 1 {
-			// A fresh attempt rewrites the trace from scratch: drop every
-			// segment the failed attempt left behind so a shorter rerun
-			// cannot leave stale rotated files.
-			for _, p := range res.TraceFiles {
-				os.Remove(p)
-			}
+			// A fresh attempt rewrites the trace from scratch; one
+			// cancelled before it opens the file must not leave the
+			// failed attempt's behind.
 			if res.TraceFile != "" {
 				os.Remove(res.TraceFile)
 			}
@@ -539,29 +495,10 @@ func runAttempt(ctx context.Context, rootSeed int64, index int, job Job, o *opti
 		if cerr := tw.Close(); cerr != nil && res.Err == nil {
 			res.Err = fmt.Errorf("runner: job %d (%s) trace: %w", index, job.Label, cerr)
 		}
-		if res.TraceFiles != nil {
-			res.TraceFiles = tw.Paths()
-		}
 	}()
 	if o.traceDir != "" {
-		var w *otrace.Writer
-		var err error
-		switch {
-		case o.traceWire:
-			path := filepath.Join(o.traceDir, WireTraceFileName(index))
-			w, err = otrace.CreateWire(path)
-			res.TraceFile = path
-		case o.traceMaxBytes > 0:
-			w, err = otrace.CreateRotating(o.traceDir, TraceBaseName(index), o.traceMaxBytes)
-			if err == nil {
-				res.TraceFiles = w.Paths()
-				res.TraceFile = res.TraceFiles[0]
-			}
-		default:
-			path := filepath.Join(o.traceDir, TraceFileName(index))
-			w, err = otrace.Create(path)
-			res.TraceFile = path
-		}
+		res.TraceFile = filepath.Join(o.traceDir, TraceFileName(index))
+		w, err := otrace.Create(res.TraceFile)
 		if err != nil {
 			res.Err = fmt.Errorf("runner: job %d (%s): %w", index, job.Label, err)
 			return res

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,7 +31,7 @@ func runSweep(t *testing.T, asSource bool, workers int) ([]Result, string) {
 	dir := t.TempDir()
 	var jobs []Job
 	for i, cfg := range sweepConfigs() {
-		j := Job{Label: TraceBaseName(i)}
+		j := Job{Label: fmt.Sprintf("job-%03d", i)}
 		if asSource {
 			j.Source = &source.SimSource{Label: j.Label, Config: cfg}
 		} else {

@@ -11,11 +11,10 @@ import (
 	"netprobe/internal/trace"
 )
 
-// FileSource replays recorded otrace streams — plain JSONL files or
-// the gzip-rotated segment sequences a rotating Writer produces — as a
-// Source. Replay preserves event order across segments (otrace.ReadFiles
-// semantics) and checks ctx between events, so a cancelled replay
-// stops promptly even on multi-gigabyte traces.
+// FileSource replays recorded otrace JSONL files as a Source. Replay
+// preserves event order across files (otrace.ReadFiles semantics) and
+// checks ctx between events, so a cancelled replay stops promptly even
+// on multi-gigabyte traces.
 //
 // A crash-truncated tail normally fails the replay with
 // otrace.ErrTruncated after delivering every decodable event;
@@ -30,8 +29,7 @@ import (
 type FileSource struct {
 	// Label names the source; defaults to the first path.
 	Label string
-	// Paths are the trace files to replay, in order. Gzip segments are
-	// detected by magic and decompressed transparently.
+	// Paths are the trace files to replay, in order, as one stream.
 	Paths []string
 	// AllowTruncated keeps the decodable prefix of a crash-truncated
 	// stream instead of failing the replay.

@@ -11,8 +11,8 @@
 //
 //   - SimSource wraps core.RunSim (deterministic, seeded via Seedable);
 //   - ProbeSource wraps a supervised netdyn probing session;
-//   - FileSource replays recorded otrace JSONL (plain or gzip-rotated
-//     segments, tolerating crash-truncated tails);
+//   - FileSource replays recorded otrace JSONL files (tolerating
+//     crash-truncated tails);
 //   - RemoteSource reads the length-prefixed binary wire framing
 //     (otrace.FrameReader) from a TCP peer, with Sender/Dial as the
 //     producing half and Serve fanning many remote sources into one

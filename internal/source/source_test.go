@@ -112,31 +112,6 @@ func TestFileSourceReplay(t *testing.T) {
 	}
 }
 
-// TestFileSourceRotatedSegments: gzip-rotated segments replay in order
-// as one stream.
-func TestFileSourceRotatedSegments(t *testing.T) {
-	dir := t.TempDir()
-	w, err := otrace.CreateRotating(dir, "run", 16*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := &SimSource{Config: simConfig()}
-	if err := sim.Run(context.Background(), w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	paths := w.Paths()
-	if len(paths) < 2 {
-		t.Fatalf("expected rotation, got %d segment(s)", len(paths))
-	}
-	src := &FileSource{Label: "rotated", Paths: paths}
-	if !bytes.Equal(runToJSONL(t, src), runToJSONL(t, &SimSource{Config: simConfig()})) {
-		t.Fatal("segmented replay differs from a direct run")
-	}
-}
-
 // TestFileSourceTruncated: a cut stream fails with ErrTruncated unless
 // AllowTruncated keeps the prefix.
 func TestFileSourceTruncated(t *testing.T) {

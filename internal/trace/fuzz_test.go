@@ -40,25 +40,3 @@ func FuzzReadCSV(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadJSON checks the JSON path the same way.
-func FuzzReadJSON(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sampleTrace()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add("{}")
-	f.Add("[]")
-	f.Add(`{"Delta":1,"WireSize":72,"Samples":[{"Seq":0,"Sent":0,"RTT":5,"Lost":false}]}`)
-
-	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := ReadJSON(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("ReadJSON returned an invalid trace: %v", err)
-		}
-	})
-}

@@ -1,7 +1,9 @@
-// Package trace persists probe traces (package core) as CSV or JSON
-// files, so experiments can be collected once and analyzed many times
-// — the workflow of the paper, where each 10-minute run was saved and
-// then studied through several lenses.
+// Package trace persists probe traces (package core) as CSV files, so
+// experiments can be collected once and analyzed many times — the
+// workflow of the paper, where each 10-minute run was saved and then
+// studied through several lenses. CSV is an export: a run's full
+// record is its otrace JSONL event file, which FromEvents and
+// LoadEvents turn back into the same trace.
 //
 // The CSV format is one row per probe with a small metadata header in
 // comment lines:
@@ -19,7 +21,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -151,54 +152,47 @@ func parseRow(text string) (core.Sample, error) {
 	return s, nil
 }
 
-// WriteJSON writes t to w as indented JSON.
-func WriteJSON(w io.Writer, t *core.Trace) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// ReadJSON parses a JSON trace and validates it.
-func ReadJSON(r io.Reader) (*core.Trace, error) {
-	var t core.Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decode json: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// Save writes t to path, choosing the format by extension: ".json"
-// for JSON, anything else for CSV.
+// Save writes t to path as CSV. A ".json" path is an error: CSV is the
+// only trace file format, and a run's JSON record is its otrace event
+// file.
 func Save(path string, t *core.Trace) error {
+	if err := notJSON(path); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		if err := WriteJSON(f, t); err != nil {
-			return err
-		}
-	} else if err := WriteCSV(f, t); err != nil {
+	if err := WriteCSV(f, t); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// Load reads a trace from path, choosing the format by extension.
+// Load reads a CSV trace from path. A ".json" path is an error, as
+// for Save.
 func Load(path string) (*core.Trace, error) {
+	if err := notJSON(path); err != nil {
+		return nil, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		return ReadJSON(f)
-	}
 	return ReadCSV(f)
+}
+
+// notJSON rejects a ".json" trace path, which would otherwise hold CSV
+// under a JSON name.
+func notJSON(path string) error {
+	if strings.EqualFold(filepath.Ext(path), ".json") {
+		return fmt.Errorf("trace: %s: traces are CSV files (name it .csv); "+
+			"a run's JSON record is its otrace JSONL event file "+
+			"(-trace, -trace-dir), which trace.LoadEvents reads", path)
+	}
+	return nil
 }
 
 // Merge concatenates traces taken back to back with identical

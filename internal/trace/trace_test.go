@@ -47,19 +47,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	assertTracesEqual(t, orig, got)
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	orig := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTracesEqual(t, orig, got)
-}
-
 func assertTracesEqual(t *testing.T, a, b *core.Trace) {
 	t.Helper()
 	if a.Name != b.Name || a.Delta != b.Delta || a.PayloadSize != b.PayloadSize ||
@@ -121,7 +108,8 @@ func TestReadCSVIgnoresFreeComments(t *testing.T) {
 func TestSaveLoadByExtension(t *testing.T) {
 	dir := t.TempDir()
 	orig := sampleTrace()
-	for _, name := range []string{"t.csv", "t.json"} {
+	// Every extension but .json holds CSV.
+	for _, name := range []string{"t.csv", "t.txt"} {
 		path := filepath.Join(dir, name)
 		if err := Save(path, orig); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -131,6 +119,28 @@ func TestSaveLoadByExtension(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		assertTracesEqual(t, orig, got)
+	}
+}
+
+// TestSaveLoadRejectJSON: a .json path is refused by both Save and
+// Load, and Save creates no file, rather than CSV under a JSON name.
+func TestSaveLoadRejectJSON(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"t.json", "T.JSON"} {
+		path := filepath.Join(dir, name)
+		err := Save(path, sampleTrace())
+		if err == nil || !strings.Contains(err.Error(), "CSV") {
+			t.Fatalf("Save(%s) = %v, want an error pointing to CSV", name, err)
+		}
+		if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+			t.Fatalf("Save(%s) created the file (stat: %v)", name, serr)
+		}
+		if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "-trace") {
+			t.Fatalf("Load(%s) = %v, want an error pointing to -trace", name, err)
+		}
 	}
 }
 
