@@ -72,10 +72,13 @@ bench-snapshot:
 # wraps ErrTruncated, and what it decoded re-encodes to the same
 # events), the Lindley queue against the two-event queue it replaced
 # (FuzzQueueReference: random pipelines full of same-nanosecond ties),
-# and the coordinator's
+# the coordinator's
 # journal replay (FuzzRecover: arbitrary bytes never panic Recover, and
 # a compacted journal replays to the same table; minimization is capped
-# because every input writes and fsyncs a journal).
+# because every input writes and fsyncs a journal), and the fault-plan
+# and alert-rule parsers (FuzzParsePlan, FuzzParseRules: arbitrary
+# bytes never panic them, what they accept is valid, and it survives a
+# marshal and a second parse unchanged).
 chaos:
 	$(GO) test -race -count=1 ./internal/faultinject/... ./internal/pipestat/... \
 		./internal/online/... ./internal/coord/... ./internal/source/...
@@ -83,6 +86,8 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 5s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueReference$$' -fuzztime 5s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/coord/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 5s ./internal/faultinject/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 5s ./internal/tshist/
 
 # fleet-chaos is the full-fleet chaos soak (coord.RunChaos): a journaled
 # coordinator, agents, and a relay on loopback, with a seeded schedule

@@ -1,14 +1,4 @@
-// Bottleneck discovery example: treat a path's bandwidth as unknown
-// and recover it purely from probe round-trip times, the way Section 4
-// of the paper reads 128 kb/s off the Figure 2 phase plot. The example
-// sweeps several "mystery" paths with different bottlenecks, picks a
-// suitable probe interval for each, and compares the phase-plot
-// estimate against the truth.
-//
-// Run with:
-//
-//	go run ./examples/bottleneck
-package main
+package capacity_test
 
 import (
 	"fmt"
@@ -37,8 +27,13 @@ func mysteryPath(name string, bottleneckBps int64) route.Path {
 	}
 }
 
-func main() {
-	log.SetFlags(0)
+// ExampleFromPairs treats a path's bandwidth as unknown and recovers
+// it from probe round-trip times alone, the way Section 4 of the paper
+// reads 128 kb/s off the Figure 2 phase plot. It sweeps "mystery"
+// paths with different bottlenecks, picks a probe interval for each,
+// and compares the phase-plot estimate and the packet-pair estimate
+// against the truth.
+func ExampleFromPairs() {
 	fmt.Printf("%-10s %12s %14s %8s %14s %8s\n",
 		"path", "true μ", "phase-plot μ", "error", "packet-pair μ", "error")
 	for _, tc := range []struct {
@@ -105,4 +100,12 @@ func main() {
 			p.Name, tc.bps, est.BottleneckBps, errPct, pairEst.BottleneckBps, pairErr)
 	}
 	fmt.Println("\n(phase-plot: δ − P/μ read off the compression line; packet-pair: modal return spacing of back-to-back probes)")
+	// Output:
+	// path             true μ   phase-plot μ    error  packet-pair μ    error
+	// 64k               64000          63989    -0.0%          64000     0.0%
+	// 128k             128000         127915    -0.1%         128000     0.0%
+	// 256k             256000         255402    -0.2%         256000     0.0%
+	// 512k             512000         509694    -0.5%         512000     0.0%
+	//
+	// (phase-plot: δ − P/μ read off the compression line; packet-pair: modal return spacing of back-to-back probes)
 }

@@ -104,6 +104,12 @@ func (f *Flags) Setup(reg *Registry) (*slog.Logger, error) {
 		return nil, err
 	}
 	slog.SetDefault(logger)
+	// SetDefault routes the log package through slog at INFO. Its
+	// lines are errors: the commands' log.Fatal, and the -debug-addr
+	// server's net/http errors (accept failures, handler panics), which
+	// go to the default log because that server sets no ErrorLog. Log
+	// them at ERROR so they reach the operator at every -log level.
+	slog.SetLogLoggerLevel(slog.LevelError)
 	if reg != nil {
 		RegisterBuildInfo(reg)
 	}
