@@ -75,7 +75,10 @@ bench-snapshot:
 # the coordinator's
 # journal replay (FuzzRecover: arbitrary bytes never panic Recover, and
 # a compacted journal replays to the same table; minimization is capped
-# because every input writes and fsyncs a journal), and the fault-plan
+# because every input writes and fsyncs a journal), its per-connection
+# handler (FuzzHandle: arbitrary frames on one control connection never
+# panic it, its counts stay consistent with its status, and a fresh
+# agent still completes a job exactly once), and the fault-plan
 # and alert-rule parsers (FuzzParsePlan, FuzzParseRules: arbitrary
 # bytes never panic them, what they accept is valid, and it survives a
 # marshal and a second parse unchanged).
@@ -86,6 +89,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 5s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueReference$$' -fuzztime 5s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/coord/
+	$(GO) test -run '^$$' -fuzz '^FuzzHandle$$' -fuzztime 5s ./internal/coord/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 5s ./internal/faultinject/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 5s ./internal/tshist/
 

@@ -22,7 +22,7 @@
 //	            [-manifest experiments-manifest.json]
 //	            [-trace-dir traces/]
 //	            [-online] [-online-window N] [-relay host:port]
-//	            [-job-timeout 0] [-retries 0] [-version]
+//	            [-version]
 //
 // -trace-dir writes one probe-lifecycle event file (otrace JSONL,
 // job-NNN.jsonl) per job, referenced from the manifest; the files are
@@ -36,12 +36,6 @@
 // analyzers to the trailing N probes per job. -relay streams the same
 // job-tagged events to a netdyn-relay collector over TCP, which then
 // computes the identical analysis remotely.
-//
-// -job-timeout sets each simulation's wall-clock limit. It cannot stop
-// a simulation mid-run, but a job that runs past it fails. -retries
-// redispatches failed or timed-out jobs (same derived seed, so a
-// successful retry is byte-identical to a first-attempt success; the
-// manifest records the attempt count).
 //
 // SIGINT or SIGTERM stops the sweep gracefully: running jobs finish,
 // undispatched ones are recorded as cancelled, the manifest is still
@@ -97,10 +91,6 @@ var (
 		"cap the online analyzers to the trailing N probes per job (0 = all-time statistics)")
 	relay = flag.String("relay", "",
 		"stream job events to a netdyn-relay collector at this address; empty disables")
-	jobTimeout = flag.Duration("job-timeout", 0,
-		"per-job wall-clock limit; a simulation runs to completion, but one that runs past it fails (and is retried under -retries); 0 = no limit")
-	retries = flag.Int("retries", 0,
-		"additional attempts for failed or timed-out jobs (same derived seed; manifests record the attempt count)")
 	obsFlags    = obs.RegisterFlags(flag.CommandLine)
 	tshistFlags = tshist.RegisterFlags(flag.CommandLine)
 )
@@ -242,11 +232,6 @@ func runAll(ctx context.Context, dur, longDur time.Duration) (map[string]*core.T
 	pp.SendTimes = capacity.PairSchedule(1000, 200*time.Millisecond, time.Millisecond)
 	jobs = append(jobs, runner.Job{Label: jobPacketPair, Config: pp})
 
-	for i := range jobs {
-		jobs[i].Timeout = *jobTimeout
-		jobs[i].Retries = *retries
-	}
-
 	opts := []runner.Option{
 		runner.Workers(*workers),
 		runner.Metrics(obs.Default),
@@ -335,8 +320,6 @@ func writeManifest(path string, results []runner.Result, summary runner.Summary)
 		"online":        strconv.FormatBool(*onlineOn),
 		"online_window": strconv.Itoa(*onlineWin),
 		"relay":         *relay,
-		"job_timeout":   jobTimeout.String(),
-		"retries":       strconv.Itoa(*retries),
 	}
 	m.Presets = []string{"inria", "pitt"}
 	snap := obs.Default.Snapshot()

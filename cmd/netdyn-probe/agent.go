@@ -21,9 +21,9 @@ import (
 
 // Agent mode: instead of running one probe session from flags, the
 // process registers with a netdyn-coord coordinator and executes the
-// job specs it pushes, each as a source.Source — "probe" jobs as real
-// netdyn sessions against the spec's target (source.ProbeSource), "sim"
-// jobs as simulator runs of the named preset (source.SimSource).
+// job specs it pushes (executeJob) — "probe" jobs as real netdyn
+// sessions against the spec's target, "sim" jobs as simulator runs of
+// the named preset.
 // Each job's lifecycle events stream to the -relay collector tagged
 // with the job's instance id, so the relay's online analyzers bucket
 // the whole fleet per job. The relay connection auto-redials
@@ -89,7 +89,15 @@ func runAgentMode(coordAddr, name string, capacity int, heartbeat time.Duration,
 	return err
 }
 
-// executeJob runs one pushed job spec as a Source streaming into sink.
+// executeJob runs one pushed job spec with its events streaming into
+// sink. A "sim" job runs the core preset named by Target; it is
+// virtual-time, finishes in milliseconds, and checks ctx only before
+// it starts. A "probe" job (the default mode) is a supervised netdyn
+// session against Target: transient errors are retried, outages
+// recorded as gaps, and the job's ctx ends it gracefully with partial
+// results. The spec's fault plan, or defaultPlan when it has none,
+// impairs the simulated path or the probe socket; the socket's faults
+// are emitted into sink.
 func executeJob(ctx context.Context, spec coord.Spec, sink otrace.Sink,
 	defaultPlan *faultinject.Plan) (coord.Result, error) {
 	plan := defaultPlan
@@ -100,35 +108,16 @@ func executeJob(ctx context.Context, spec coord.Spec, sink otrace.Sink,
 		}
 		plan = p
 	}
-	src, err := specSource(spec, plan, sink)
-	if err != nil {
-		return coord.Result{}, err
-	}
-	if err := src.Run(ctx, sink); err != nil {
-		return coord.Result{}, err
-	}
-	tr := src.(source.Traced).Trace()
-	return coord.Result{Probes: tr.Len(), Losses: tr.Len() - tr.Received()}, nil
-}
-
-// specSource builds the Source a job spec describes. A "sim" job runs
-// the core preset named by Target; it is virtual-time, finishes in
-// milliseconds, and checks ctx only before it starts. A "probe" job
-// (the default mode) is a supervised netdyn session against Target:
-// transient errors are retried, outages recorded as gaps, and the
-// job's ctx ends it gracefully with partial results. plan impairs the
-// simulated path or the probe socket; the socket's faults are emitted
-// into sink.
-func specSource(spec coord.Spec, plan *faultinject.Plan, sink otrace.Sink) (source.Source, error) {
 	delta := spec.Delta.D()
 	if delta <= 0 {
 		delta = 50 * time.Millisecond
 	}
+	var tr *core.Trace
 	switch spec.Mode {
 	case "sim":
 		preset, ok := core.PresetByName(spec.Target)
 		if !ok {
-			return nil, fmt.Errorf("unknown sim preset %q", spec.Target)
+			return coord.Result{}, fmt.Errorf("unknown sim preset %q", spec.Target)
 		}
 		cfg := preset.Config(delta, spec.Duration.D(), spec.Seed)
 		if spec.Count > 0 {
@@ -139,10 +128,18 @@ func specSource(spec coord.Spec, plan *faultinject.Plan, sink otrace.Sink) (sour
 		}
 		cfg.Faults = plan
 		cfg.Metrics = obs.Default
-		return &source.SimSource{Config: cfg}, nil
+		cfg.Trace = sink
+		if err := ctx.Err(); err != nil {
+			return coord.Result{}, err
+		}
+		t, err := core.RunSim(cfg)
+		if err != nil {
+			return coord.Result{}, err
+		}
+		tr = t
 	case "probe", "":
 		if spec.Target == "" {
-			return nil, fmt.Errorf("probe job has no target")
+			return coord.Result{}, fmt.Errorf("probe job has no target")
 		}
 		n := spec.Count
 		if n == 0 {
@@ -159,18 +156,25 @@ func specSource(spec coord.Spec, plan *faultinject.Plan, sink otrace.Sink) (sour
 			PayloadSize: spec.PayloadBytes,
 			Metrics:     obs.Default,
 			Supervise:   &netdyn.SuperviseConfig{},
+			Context:     ctx,
+			Trace:       sink,
 		}
 		if plan != nil {
 			open := faultSocket(plan, sink)
 			conn, err := open()
 			if err != nil {
-				return nil, err
+				return coord.Result{}, err
 			}
 			cfg.Conn = conn
 			cfg.Supervise.Redial = open
 		}
-		return &source.ProbeSource{Config: cfg}, nil
+		d, err := netdyn.ProbeDetailed(cfg)
+		if err != nil {
+			return coord.Result{}, err
+		}
+		tr = d.Trace
 	default:
-		return nil, fmt.Errorf("unknown job mode %q", spec.Mode)
+		return coord.Result{}, fmt.Errorf("unknown job mode %q", spec.Mode)
 	}
+	return coord.Result{Probes: tr.Len(), Losses: tr.Len() - tr.Received()}, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,6 +62,20 @@ func TestSimSpecMatchesRunSim(t *testing.T) {
 	}
 	if got, want := sink.events.Load(), ref.events.Load(); got != want || want == 0 {
 		t.Fatalf("sink saw %d events, RunSim %d", got, want)
+	}
+}
+
+// TestSimSpecCancelled: a sim job whose context is already done does
+// not start, so nothing reaches the sink.
+func TestSimSpecCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var sink countSink
+	if _, err := executeJob(ctx, simSpec(""), &sink, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
+	}
+	if n := sink.events.Load(); n != 0 {
+		t.Fatalf("cancelled job streamed %d events", n)
 	}
 }
 

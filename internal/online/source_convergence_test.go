@@ -10,14 +10,15 @@ import (
 	"netprobe/internal/core"
 	"netprobe/internal/loss"
 	"netprobe/internal/online"
+	"netprobe/internal/otrace"
 	"netprobe/internal/phase"
 	"netprobe/internal/runner"
 	"netprobe/internal/source"
 	"netprobe/internal/workload"
 )
 
-// TestFileSourceReplayConvergence: replaying a job's trace file through
-// source.FileSource into a fresh engine reproduces the batch results —
+// TestFileSourceReplayConvergence: replaying a job's trace file
+// (otrace.ReadFiles) into a fresh engine reproduces the batch results —
 // ulp/clp/plg bit-equal, μ and workload values within 1e-9. The trace
 // file is a complete substitute for having watched the run live.
 func TestFileSourceReplayConvergence(t *testing.T) {
@@ -35,8 +36,11 @@ func TestFileSourceReplayConvergence(t *testing.T) {
 		phaseA := online.NewPhaseAnalyzer(nil, 0)
 		workA := online.NewWorkloadAnalyzer(nil, 1.0)
 		eng := online.NewEngine(bus, 1<<15, lossA, phaseA, workA)
-		fs := &source.FileSource{Paths: []string{r.TraceFile}}
-		if err := fs.Run(context.Background(), online.Tag(bus, r.Label, 0)); err != nil {
+		tagged := online.Tag(bus, r.Label, 0)
+		if err := otrace.ReadFiles([]string{r.TraceFile}, func(ev otrace.Event) error {
+			tagged.Emit(ev)
+			return nil
+		}); err != nil {
 			t.Fatalf("%s: replay: %v", r.Label, err)
 		}
 		bus.Close()

@@ -24,7 +24,7 @@
 // Run honors context cancellation between jobs: pending jobs are
 // marked with the context's error and completed results are returned.
 // A job that returns an error, or panics, is recorded in its own
-// Result.Err without affecting the rest of the batch. Job.Timeout
-// cannot stop a simulation mid-run, but an attempt that runs past it
-// fails with ErrJobTimeout.
+// Result.Err without affecting the rest of the batch. A simulation
+// cannot be stopped mid-run; retries and deadlines belong to the fleet
+// coordinator (internal/coord), not to the pool.
 package runner

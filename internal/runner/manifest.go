@@ -56,11 +56,7 @@ type ManifestJob struct {
 	// TraceFile points at the job's lifecycle-event file (otrace
 	// JSONL) when the pool ran with the Traces option.
 	TraceFile string `json:"trace_file,omitempty"`
-	// Attempts records how many attempts the job needed when it was
-	// redispatched (Job.Retries); omitted for ordinary first-attempt
-	// outcomes so retry-free manifests are unchanged.
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Error     string `json:"error,omitempty"`
 }
 
 // ManifestSummary mirrors Summary in JSON-friendly units.
@@ -113,9 +109,6 @@ func NewManifest(tool string, rootSeed int64, results []Result, sum Summary) *Ma
 			PLG:    finite(r.Stats.PLG),
 
 			TraceFile: r.TraceFile,
-		}
-		if r.Attempts > 1 {
-			j.Attempts = r.Attempts
 		}
 		if r.Err != nil {
 			j.Error = r.Err.Error()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,5 +124,49 @@ func TestManifestWriteAndReload(t *testing.T) {
 	}
 	if back.Summary.Cancelled != 1 || back.Summary.Workers != 2 {
 		t.Errorf("summary = %+v", back.Summary)
+	}
+}
+
+// TestManifestWriteAtomic: Write must replace an existing manifest via
+// rename — the old document stays intact if anything fails, and no
+// temp files survive a successful write.
+func TestManifestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "manifest.json")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManifest("test", 1, nil, Summary{})
+	if err := m.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) == "old" || !strings.HasPrefix(string(data), "{") {
+		t.Fatalf("manifest not replaced: %q", data[:min(len(data), 40)])
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, 0, len(entries))
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("temp files left behind: %v", names)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode().Perm() != 0o644 {
+		t.Fatalf("manifest mode %v, want 0644", info.Mode().Perm())
+	}
+	// Writing into a missing directory fails cleanly.
+	if err := m.Write(filepath.Join(dir, "nope", "manifest.json")); err == nil {
+		t.Fatal("write into missing directory succeeded")
 	}
 }

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -21,12 +20,9 @@ func TestProgressExactlyOncePerJob(t *testing.T) {
 			const n = 12
 			jobs := make([]Job, n)
 			for i := range jobs {
-				i := i
 				jobs[i] = Job{
-					Label: fmt.Sprintf("job-%d", i),
-					Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
-						return tinyTrace(fmt.Sprintf("job-%d", i)), nil
-					}),
+					Label:  fmt.Sprintf("job-%d", i),
+					Config: tinyConfig(fmt.Sprintf("job-%d", i), nil),
 				}
 			}
 			starts := make([]int, n)
@@ -84,11 +80,8 @@ func TestSummaryCountsAndUtilization(t *testing.T) {
 	jobs := make([]Job, n)
 	for i := range jobs {
 		jobs[i] = Job{
-			Label: "ok",
-			Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
-				time.Sleep(5 * time.Millisecond)
-				return tinyTrace("ok"), nil
-			}),
+			Label:  "ok",
+			Config: tinyConfig("ok", func() { time.Sleep(5 * time.Millisecond) }),
 		}
 	}
 	results, sum := RunAll(context.Background(), 1, jobs, Workers(4))
@@ -122,16 +115,11 @@ func TestSummaryCancelledDistinguished(t *testing.T) {
 	const n = 10
 	jobs := make([]Job, n)
 	for i := range jobs {
-		i := i
-		jobs[i] = Job{
-			Label: "maybe",
-			Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
-				if i == 1 {
-					cancel()
-				}
-				return tinyTrace("maybe"), nil
-			}),
+		var fn func()
+		if i == 1 {
+			fn = cancel
 		}
+		jobs[i] = Job{Label: "maybe", Config: tinyConfig("maybe", fn)}
 	}
 	results, sum := RunAll(ctx, 1, jobs, Workers(1))
 	_ = results
@@ -151,14 +139,9 @@ func TestSummaryCancelledDistinguished(t *testing.T) {
 // registry into SimConfig for real simulations.
 func TestMetricsOptionRecordsJobOutcomes(t *testing.T) {
 	reg := obs.NewRegistry()
-	boom := errors.New("boom")
 	jobs := []Job{
-		{Label: "ok", Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
-			return tinyTrace("ok"), nil
-		})},
-		{Label: "bad", Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
-			return nil, boom
-		})},
+		{Label: "ok", Config: tinyConfig("ok", nil)},
+		{Label: "bad", Config: badConfig()},
 		{Label: "sim", Config: core.INRIAPreset().Config(50*time.Millisecond, 2*time.Second, 0)},
 	}
 	results := Run(context.Background(), 3, jobs, Workers(2), Metrics(reg))

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netprobe/internal/core"
@@ -17,7 +16,6 @@ import (
 	"netprobe/internal/obs"
 	"netprobe/internal/online"
 	"netprobe/internal/otrace"
-	"netprobe/internal/source"
 )
 
 // Job is one experiment of a sweep: a complete simulation spec plus a
@@ -29,32 +27,10 @@ type Job struct {
 	// Label names the job in results and error messages,
 	// e.g. "inria δ=50ms".
 	Label string
-	// Config is the full simulation spec, run as a source.SimSource.
+	// Config is the full simulation spec, run with core.RunSim.
 	// Config.Seed is overwritten with the derived per-job seed before
-	// the run. Ignored when Source is set.
+	// the run.
 	Config core.SimConfig
-	// Source, if non-nil, is the job's event stream — any
-	// source.Source (a sim, a real probing session, a trace replay, a
-	// remote peer) — and takes precedence over Config. The pool wires
-	// the source to the job's composed sink (trace file, online taps,
-	// job brackets), sets the derived seed on Seedable sources, and
-	// takes Result.Trace from Traced ones, so a Source-based sweep
-	// keeps the same byte-identical trace guarantee as a Config-based
-	// one.
-	Source source.Source
-	// Timeout bounds one attempt's wall-clock time. When it expires the
-	// attempt's context is cancelled, and an attempt that runs past it
-	// fails with ErrJobTimeout (a plain failure, retryable — never
-	// conflated with a sweep-level cancellation). A simulation cannot be
-	// stopped mid-run, so it runs to completion first, but it still
-	// fails. 0 means no limit.
-	Timeout time.Duration
-	// Retries is how many additional attempts a failed, panicked, or
-	// timed-out job gets. Every attempt runs with the same derived
-	// seed and rewrites the job's trace file from scratch, so a
-	// successful retry is byte-identical to a first-attempt success.
-	// Cancellation is never retried. 0 means a single attempt.
-	Retries int
 }
 
 // Result is the structured outcome of one job, reported in submission
@@ -78,22 +54,10 @@ type Result struct {
 	// TraceFile is the job's lifecycle-event file (otrace JSONL) when
 	// the pool ran with the Traces option; empty otherwise.
 	TraceFile string
-	// Attempts is how many times the job ran (1 for a first-attempt
-	// success; up to Job.Retries+1); 0 for jobs cancelled before
-	// dispatch.
-	Attempts int
 	// Err is the job's failure: the simulation error, a recovered
-	// panic, ErrJobTimeout, or the context error for jobs cancelled
-	// before running. After retries, Err is the last attempt's error.
+	// panic, or the context error for jobs cancelled before running.
 	Err error
 }
-
-// ErrJobTimeout marks an attempt that ran past its Job.Timeout,
-// whether its executor stopped at the cancelled context or ran to
-// completion regardless. It is a deliberate sentinel distinct from
-// context.DeadlineExceeded so that a per-job timeout reads as a
-// failure (and is retried), not as a sweep cancellation.
-var ErrJobTimeout = errors.New("runner: job timed out")
 
 // EventKind distinguishes the two Progress notifications.
 type EventKind string
@@ -322,7 +286,7 @@ func RunAll(ctx context.Context, rootSeed int64, jobs []Job, opts ...Option) ([]
 					active.Add(1)
 				}
 				t0 := time.Now()
-				res := runOne(ctx, rootSeed, i, jobs[i], &o)
+				res := runJob(ctx, rootSeed, i, jobs[i], &o)
 				sum.WorkerBusy[w] += time.Since(t0)
 				if inflight != nil {
 					inflight.Add(-1)
@@ -401,38 +365,11 @@ func outcome(ctx context.Context, r Result) outcomeKind {
 	}
 }
 
-// runOne drives a job through its retry budget: up to Job.Retries+1
-// attempts, each with the same derived seed and a freshly-truncated
-// trace file, so the surviving artifacts are indistinguishable from a
-// first-attempt success. Cancellation stops the ladder immediately.
-func runOne(ctx context.Context, rootSeed int64, index int, job Job, o *options) Result {
-	attempts := job.Retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-	var res Result
-	for a := 1; a <= attempts; a++ {
-		if a > 1 {
-			// A fresh attempt rewrites the trace from scratch; one
-			// cancelled before it opens the file must not leave the
-			// failed attempt's behind.
-			if res.TraceFile != "" {
-				os.Remove(res.TraceFile)
-			}
-			if o.metrics != nil {
-				o.metrics.Counter("runner.job.retries").Inc()
-			}
-		}
-		res = runAttempt(ctx, rootSeed, index, job, o)
-		res.Attempts = a
-		if res.Err == nil || outcome(ctx, res) == outcomeCancelled {
-			break
-		}
-	}
-	return res
-}
-
-func runAttempt(ctx context.Context, rootSeed int64, index int, job Job, o *options) (res Result) {
+// runJob runs one job's simulation with its derived seed, streaming
+// its events into the job's trace file and taps between a job_start
+// and a job_finish bracket, and records a failure or a recovered panic
+// in Result.Err.
+func runJob(ctx context.Context, rootSeed int64, index int, job Job, o *options) (res Result) {
 	res = Result{
 		Index: index,
 		Label: job.Label,
@@ -441,23 +378,6 @@ func runAttempt(ctx context.Context, rootSeed int64, index int, job Job, o *opti
 	if err := context.Cause(ctx); err != nil {
 		res.Err = err
 		return res
-	}
-	// The attempt deadline cancels a context private to this attempt,
-	// and an attempt it fired on fails with the ErrJobTimeout sentinel
-	// whatever the executor returned — nil from a simulation that
-	// cannot be interrupted, or its context's Canceled error, which
-	// must not read as a sweep cancellation.
-	actx := ctx
-	var timedOut atomic.Bool
-	if job.Timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		watchdog := time.AfterFunc(job.Timeout, func() {
-			timedOut.Store(true)
-			cancel()
-		})
-		defer watchdog.Stop()
 	}
 	start := time.Now()
 	var tw *otrace.Writer
@@ -481,10 +401,11 @@ func runAttempt(ctx context.Context, rootSeed int64, index int, job Job, o *opti
 			res.Stats = loss.Stats{}
 			res.Err = fmt.Errorf("runner: job %d (%s) panicked: %v", index, job.Label, r)
 		}
-		// The finish bracket carries only deterministic fields (no
-		// wall time), keeping trace files byte-identical across runs
-		// and worker counts.
-		if bracket != nil && res.Err == nil {
+		// The finish bracket closes every job's stream, failed or not,
+		// so consumers finalize it. It carries only deterministic
+		// fields (no wall time), keeping trace files byte-identical
+		// across runs and worker counts.
+		if bracket != nil {
 			bracket.Emit(otrace.Event{Ev: otrace.KindJobFinish, Seq: -1,
 				Job: job.Label, Index: index, Seed: res.Seed,
 				Probes: res.Stats.N, Losses: res.Stats.Lost})
@@ -510,35 +431,28 @@ func runAttempt(ctx context.Context, rootSeed int64, index int, job Job, o *opti
 		bracket.Emit(otrace.Event{Ev: otrace.KindJobStart, Seq: -1,
 			Job: job.Label, Index: index, Seed: res.Seed})
 	}
-	// Every job runs as a Source streaming into the composed sink:
-	// trace file plus tagged taps. A Config job is a SimSource; one
-	// with a custom Config.Trace keeps that sink, and only the taps
-	// join it, so its file holds just the bracket.
-	src, sink := job.Source, bracket
-	if src == nil {
-		cfg := job.Config
-		if cfg.Metrics == nil {
-			cfg.Metrics = o.metrics
-		}
-		if cfg.Trace != nil {
-			sink = tap
-		}
-		src = &source.SimSource{Label: job.Label, Config: cfg}
+	// The simulation streams into the composed sink: trace file plus
+	// tagged taps. A job with a custom Config.Trace keeps that sink and
+	// only the taps join it, so its file holds just the bracket. An
+	// untraced job keeps a nil Config.Trace (Multi drops nil sinks),
+	// so no trace hooks are attached.
+	cfg := job.Config
+	cfg.Seed = res.Seed
+	if cfg.Metrics == nil {
+		cfg.Metrics = o.metrics
 	}
-	tr, err := runSource(actx, src, res.Seed, sink)
-	switch {
-	case timedOut.Load():
-		res.Err = fmt.Errorf("runner: job %d (%s): %w after %v", index, job.Label,
-			ErrJobTimeout, job.Timeout)
-		return res
-	case err != nil:
+	sink := bracket
+	if cfg.Trace != nil {
+		sink = tap
+	}
+	cfg.Trace = otrace.Multi(cfg.Trace, sink)
+	tr, err := core.RunSim(cfg)
+	if err != nil {
 		res.Err = fmt.Errorf("runner: job %d (%s): %w", index, job.Label, err)
 		return res
 	}
 	res.Trace = tr
-	if tr != nil {
-		res.Stats = loss.AnalyzeTrace(tr)
-	}
+	res.Stats = loss.AnalyzeTrace(tr)
 	return res
 }
 
@@ -549,28 +463,6 @@ func sinkOrNil(w *otrace.Writer) otrace.Sink {
 		return nil
 	}
 	return w
-}
-
-// runSource drives one source as a job attempt: derived seed in (for
-// Seedable sources), events out to sink, trace back out (from Traced
-// sources).
-func runSource(ctx context.Context, src source.Source, seed int64, sink otrace.Sink) (*core.Trace, error) {
-	if s, ok := src.(source.Seedable); ok {
-		s.SetSeed(seed)
-	}
-	// Sources require a sink. Discard is also a marker: SimSource and
-	// ProbeSource compose it away (otrace.Multi drops it), so an
-	// untraced job attaches no trace hooks at all.
-	if sink == nil {
-		sink = otrace.Discard
-	}
-	if err := src.Run(ctx, sink); err != nil {
-		return nil, err
-	}
-	if t, ok := src.(source.Traced); ok {
-		return t.Trace(), nil
-	}
-	return nil, nil
 }
 
 // DeltaSweep builds one Job per probe interval on a preset's path —

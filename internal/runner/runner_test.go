@@ -3,7 +3,9 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,41 +13,34 @@ import (
 	"netprobe/internal/otrace"
 )
 
-// funcSource is a test Source standing in for a custom executor: Run
-// hands run the job's config with the derived seed set and the
-// composed sink as Config.Trace, and Trace reports what run returned.
-type funcSource struct {
-	cfg core.SimConfig
-	run func(ctx context.Context, cfg core.SimConfig) (*core.Trace, error)
-	tr  *core.Trace
+// onFirstEvent is a Config.Trace sink that runs fn on a job's first
+// event and ignores the rest: it stands in for a job that sleeps,
+// panics or cancels the sweep partway through its run.
+type onFirstEvent struct {
+	once sync.Once
+	fn   func()
 }
 
-func fakeSource(run func(context.Context, core.SimConfig) (*core.Trace, error)) *funcSource {
-	return &funcSource{run: run}
-}
+func (s *onFirstEvent) Emit(otrace.Event) { s.once.Do(s.fn) }
 
-func (s *funcSource) Name() string       { return "func" }
-func (s *funcSource) SetSeed(seed int64) { s.cfg.Seed = seed }
-func (s *funcSource) Trace() *core.Trace { return s.tr }
-
-func (s *funcSource) Run(ctx context.Context, sink otrace.Sink) error {
-	cfg := s.cfg
-	cfg.Trace = sink
-	tr, err := s.run(ctx, cfg)
-	s.tr = tr
-	return err
-}
-
-// tinyTrace builds a minimal valid trace for fake-Source tests.
-func tinyTrace(name string) *core.Trace {
-	return &core.Trace{
-		Name:     name,
-		Delta:    time.Millisecond,
-		WireSize: 72,
-		Samples: []core.Sample{
-			{Seq: 0, Sent: 0, Recv: time.Millisecond, RTT: time.Millisecond},
-		},
+// tinyConfig is a small valid simulation (20 probes) on a path named
+// name, so its trace is named "<name> δ=50ms". A non-nil fn runs on
+// the job's first event.
+func tinyConfig(name string, fn func()) core.SimConfig {
+	cfg := core.INRIAPreset().Config(50*time.Millisecond, time.Second, 0)
+	cfg.Path.Name = name
+	if fn != nil {
+		cfg.Trace = &onFirstEvent{fn: fn}
 	}
+	return cfg
+}
+
+// badConfig is a simulation RunSim rejects: its route change names a
+// hop the path does not have.
+func badConfig() core.SimConfig {
+	cfg := tinyConfig("bad", nil)
+	cfg.RouteChange = &core.RouteChange{Hop: 99}
+	return cfg
 }
 
 func TestDeriveSeedStableAndDistinct(t *testing.T) {
@@ -72,14 +67,11 @@ func TestSubmissionOrderPreserved(t *testing.T) {
 	jobs := make([]Job, n)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job{
-			Label: string(rune('a' + i)),
-			Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
-				// Later submissions finish first.
-				time.Sleep(time.Duration(n-i) * 10 * time.Millisecond)
-				return tinyTrace(string(rune('a' + i))), nil
-			}),
-		}
+		cfg := tinyConfig(string(rune('a'+i)), func() {
+			// Later submissions finish first.
+			time.Sleep(time.Duration(n-i) * 10 * time.Millisecond)
+		})
+		jobs[i] = Job{Label: fmt.Sprintf("%s δ=%v", cfg.Path.Name, cfg.Delta), Config: cfg}
 	}
 	results := Run(context.Background(), 1, jobs, Workers(n))
 	if len(results) != n {
@@ -101,15 +93,10 @@ func TestSubmissionOrderPreserved(t *testing.T) {
 // TestPanicRecovered: a panicking job lands in its own Result.Err; the
 // rest of the pool completes normally.
 func TestPanicRecovered(t *testing.T) {
-	ok := func(context.Context, core.SimConfig) (*core.Trace, error) {
-		return tinyTrace("ok"), nil
-	}
 	jobs := []Job{
-		{Label: "boom", Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
-			panic("kaboom")
-		})},
-		{Label: "fine-1", Source: fakeSource(ok)},
-		{Label: "fine-2", Source: fakeSource(ok)},
+		{Label: "boom", Config: tinyConfig("boom", func() { panic("kaboom") })},
+		{Label: "fine-1", Config: tinyConfig("ok", nil)},
+		{Label: "fine-2", Config: tinyConfig("ok", nil)},
 	}
 	results := Run(context.Background(), 1, jobs, Workers(2))
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "panicked") {
@@ -153,20 +140,11 @@ func TestCancellationMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	jobs := []Job{
-		{Label: "first", Source: fakeSource(func(context.Context, core.SimConfig) (*core.Trace, error) {
-			cancel() // cancel while the sweep is underway
-			return tinyTrace("first"), nil
-		})},
+		// Cancel while the sweep is underway.
+		{Label: "first", Config: tinyConfig("first", cancel)},
 	}
 	for i := 0; i < 5; i++ {
-		jobs = append(jobs, Job{
-			Label: "pending",
-			Source: fakeSource(func(ctx context.Context, _ core.SimConfig) (*core.Trace, error) {
-				// If dispatched despite cancellation, honor ctx.
-				<-ctx.Done()
-				return nil, ctx.Err()
-			}),
-		})
+		jobs = append(jobs, Job{Label: "pending", Config: tinyConfig("pending", nil)})
 	}
 	done := make(chan []Result, 1)
 	go func() { done <- Run(ctx, 7, jobs, Workers(1)) }()

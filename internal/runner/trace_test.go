@@ -11,6 +11,7 @@ import (
 	"netprobe/internal/core"
 	"netprobe/internal/obs"
 	"netprobe/internal/otrace"
+	"netprobe/internal/pipestat"
 	"netprobe/internal/trace"
 )
 
@@ -156,6 +157,38 @@ func TestCustomSinkKept(t *testing.T) {
 		t.Errorf("file events %v, want exactly the job bracket", kinds)
 	}
 }
+
+// TestFailedJobFinalized: a job that fails, or panics, still closes
+// its job bracket on the taps, so a pipeline monitor following the
+// sweep finalizes its row instead of waiting on it forever.
+func TestFailedJobFinalized(t *testing.T) {
+	mon := pipestat.NewMonitor(pipestat.NewLedger(obs.NewRegistry()).Chain("online"))
+	jobs := []Job{
+		{Label: "bad", Config: badConfig()},
+		{Label: "boom", Config: tinyConfig("boom", func() { panic("kaboom") })},
+	}
+	results := Run(context.Background(), 1, jobs, Sink(monitorSink{mon}))
+	for _, r := range results {
+		if r.Err == nil {
+			t.Fatalf("job %q succeeded, want a failure", r.Label)
+		}
+	}
+	rows := mon.Jobs()
+	if len(rows) != len(jobs) {
+		t.Fatalf("monitor rows %+v, want one per job", rows)
+	}
+	for _, row := range rows {
+		if !row.Finalized {
+			t.Errorf("job %q: row not finalized after the job failed", row.Job)
+		}
+	}
+}
+
+// monitorSink feeds a pipeline monitor as if it were an analyzer on
+// the online engine.
+type monitorSink struct{ m *pipestat.Monitor }
+
+func (s monitorSink) Emit(ev otrace.Event) { s.m.HandleEvent(ev) }
 
 // countSink counts emitted events; the runner uses it single-threaded.
 type countSink struct{ n int }

@@ -1,3 +1,16 @@
+// Package source is the relay wire: the path that lets a prober on one
+// box stream its probe-lifecycle events into an online.Engine on
+// another.
+//
+// A producing process (a prober, a sim, a fleet agent) wraps its event
+// stream in a Sender (Dial, DialAuto; Uplink accounts it on a pipeline
+// chain), which frames events onto a TCP connection in the otrace wire
+// format. The consuming process — typically cmd/netdyn-relay — accepts
+// connections with Serve and reads each one, a remote source, into the
+// shared sink (an online.Bus, a trace file), with per-source counters
+// and a status table. Events carry their Job/Index tags inside the
+// frames, so no handshake is needed: the relay's analyzers key on
+// ev.Job exactly as a local engine would.
 package source
 
 import (
@@ -15,15 +28,6 @@ import (
 	"netprobe/internal/obs"
 	"netprobe/internal/otrace"
 )
-
-// The remote path: a producing process (a prober, a sim, a replay)
-// wraps its event stream in a Sender, which frames events onto a TCP
-// connection (otrace wire format); the consuming process — typically
-// cmd/netdyn-relay — accepts connections with Serve, and each becomes
-// a RemoteSource feeding the shared sink (an online.Bus, a trace
-// file). Events carry their Job/Index tags inside the frames, so no
-// handshake is needed: the relay's analyzers key on ev.Job exactly as
-// a local engine would.
 
 // Sender streams events over an io.Writer as binary frames. It
 // implements otrace.Sink. Emit appends the event's frame to a pending
@@ -418,43 +422,30 @@ func (s *Sender) Close() error {
 	return s.err
 }
 
-// RemoteSource reads one framed event stream from a network peer as a
-// Source. Run delivers events in arrival order until the peer closes
-// the connection cleanly (nil), the stream dies mid-frame
-// (otrace.ErrTruncated), or ctx is cancelled — cancellation unblocks
-// the pending read by forcing the connection's read deadline.
-type RemoteSource struct {
-	// Label names the source; defaults to the peer address.
-	Label string
-	// Conn is the accepted connection. Run takes ownership and closes
-	// it when it returns.
-	Conn net.Conn
-}
-
-// Name implements Source.
-func (r *RemoteSource) Name() string {
-	if r.Label != "" {
-		return r.Label
-	}
-	if r.Conn != nil {
-		return r.Conn.RemoteAddr().String()
-	}
-	return "remote"
-}
-
-// Run implements Source.
-func (r *RemoteSource) Run(ctx context.Context, sink otrace.Sink) error {
-	defer r.Conn.Close() //nolint:errcheck // read side
-	// Cancellation must unblock a Read stuck on a silent peer; closing
-	// is too blunt (we want the deadline error path), so force an
-	// already-expired read deadline.
+// readStream delivers one connection's framed events to sink in
+// arrival order until the peer closes the connection cleanly (nil),
+// the stream dies mid-frame (otrace.ErrTruncated), or ctx is cancelled.
+// Cancellation unblocks the pending read by forcing the connection's
+// read deadline, and its error is reported in place of the read error
+// it provoked. readStream closes conn when it returns.
+func readStream(ctx context.Context, conn net.Conn, label string, sink otrace.Sink) error {
+	defer conn.Close() //nolint:errcheck // read side
+	// Closing is too blunt to unblock a Read stuck on a silent peer (we
+	// want the deadline error path), so force an already-expired read
+	// deadline.
 	stop := context.AfterFunc(ctx, func() {
-		r.Conn.SetReadDeadline(pastDeadline) //nolint:errcheck // best effort
+		conn.SetReadDeadline(pastDeadline) //nolint:errcheck // best effort
 	})
 	defer stop()
-	fr, err := otrace.NewFrameReader(r.Conn)
+	fail := func(err error) error {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return fmt.Errorf("source: remote %s: %w", label, err)
+	}
+	fr, err := otrace.NewFrameReader(conn)
 	if err != nil {
-		return r.ctxErr(ctx, err)
+		return fail(err)
 	}
 	for {
 		ev, err := fr.Next()
@@ -462,19 +453,10 @@ func (r *RemoteSource) Run(ctx context.Context, sink otrace.Sink) error {
 			return nil
 		}
 		if err != nil {
-			return r.ctxErr(ctx, err)
+			return fail(err)
 		}
 		sink.Emit(ev)
 	}
-}
-
-// ctxErr prefers the cancellation cause over the read error it
-// provoked.
-func (r *RemoteSource) ctxErr(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return fmt.Errorf("source: remote %s: %w", r.Name(), err)
 }
 
 // pastDeadline is any time guaranteed to be in the past, expiring
@@ -544,8 +526,8 @@ type Server struct {
 	closed atomic.Bool
 }
 
-// Serve starts accepting connections on ln, each handled as a
-// RemoteSource feeding cfg.Sink. It returns immediately; Close shuts
+// Serve starts accepting connections on ln, each read (readStream)
+// into cfg.Sink. It returns immediately; Close shuts
 // the listener and waits for the connection handlers to drain.
 func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 	if cfg.Sink == nil {
@@ -628,9 +610,8 @@ func (s *Server) handle(conn net.Conn) {
 		sink = queue
 	}
 	sink = ingressSink{st: st, next: sink}
-	rs := &RemoteSource{Label: label, Conn: conn}
 	s.cfg.Logf("relay: %s connected", conn.RemoteAddr())
-	if err := rs.Run(s.ctx, sink); err != nil {
+	if err := readStream(s.ctx, conn, label, sink); err != nil {
 		s.cfg.Logf("relay: %s: %v", conn.RemoteAddr(), err)
 		return
 	}

@@ -3,15 +3,13 @@ package source
 import (
 	"bytes"
 	"context"
-	"errors"
+	"fmt"
 	"net"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"netprobe/internal/core"
-	"netprobe/internal/netdyn"
 	"netprobe/internal/obs"
 	"netprobe/internal/otrace"
 	"netprobe/internal/route"
@@ -30,13 +28,15 @@ func simConfig() core.SimConfig {
 
 func ptr[T any](v T) *T { return &v }
 
-// runToJSONL runs src into a JSONL buffer and returns the bytes.
-func runToJSONL(t *testing.T, src Source) []byte {
+// runToJSONL runs cfg with its events going to sink (when non-nil)
+// and to a JSONL buffer, and returns the buffer's bytes.
+func runToJSONL(t *testing.T, cfg core.SimConfig, sink otrace.Sink) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := otrace.NewWriter(&buf)
-	if err := src.Run(context.Background(), w); err != nil {
-		t.Fatalf("%s: %v", src.Name(), err)
+	cfg.Trace = otrace.Multi(w, sink)
+	if _, err := core.RunSim(cfg); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -44,130 +44,11 @@ func runToJSONL(t *testing.T, src Source) []byte {
 	return buf.Bytes()
 }
 
-// TestSimSourceDeterministic: identical configs and seeds produce
-// byte-identical JSONL through the Source interface, and SetSeed
-// changes the stream.
-func TestSimSourceDeterministic(t *testing.T) {
-	a := runToJSONL(t, &SimSource{Config: simConfig()})
-	b := runToJSONL(t, &SimSource{Config: simConfig()})
-	if !bytes.Equal(a, b) {
-		t.Fatal("same seed, different event streams")
-	}
-	reseeded := &SimSource{Config: simConfig()}
-	Seedable(reseeded).SetSeed(43)
-	if bytes.Equal(a, runToJSONL(t, reseeded)) {
-		t.Fatal("different seed, identical event streams")
-	}
-}
-
-// TestSimSourceTrace: the Traced view matches what core.RunSim returns
-// directly.
-func TestSimSourceTrace(t *testing.T) {
-	src := &SimSource{Config: simConfig()}
-	if src.Trace() != nil {
-		t.Fatal("trace before run")
-	}
-	runToJSONL(t, src)
-	tr := Traced(src).Trace()
-	if tr == nil {
-		t.Fatal("no trace after run")
-	}
-	direct, err := core.RunSim(simConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != direct.Len() || tr.LossRate() != direct.LossRate() {
-		t.Fatalf("source trace (%d, %v) differs from direct run (%d, %v)",
-			tr.Len(), tr.LossRate(), direct.Len(), direct.LossRate())
-	}
-}
-
-// TestSimSourceCancelled: an already-cancelled context stops the run
-// before it starts.
-func TestSimSourceCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	src := &SimSource{Config: simConfig()}
-	if err := src.Run(ctx, otrace.NewWriter(&bytes.Buffer{})); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-// TestFileSourceReplay: recording a sim to disk and replaying it
-// through FileSource reproduces the JSONL byte-for-byte and
-// reconstructs the run's trace.
-func TestFileSourceReplay(t *testing.T) {
-	recorded := runToJSONL(t, &SimSource{Config: simConfig()})
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := os.WriteFile(path, recorded, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src := &FileSource{Paths: []string{path}}
-	replayed := runToJSONL(t, src)
-	if !bytes.Equal(recorded, replayed) {
-		t.Fatal("replay is not byte-identical to the recording")
-	}
-	if src.Trace() == nil {
-		t.Fatal("no reconstructed trace after replay")
-	}
-}
-
-// TestFileSourceTruncated: a cut stream fails with ErrTruncated unless
-// AllowTruncated keeps the prefix.
-func TestFileSourceTruncated(t *testing.T) {
-	recorded := runToJSONL(t, &SimSource{Config: simConfig()})
-	path := filepath.Join(t.TempDir(), "cut.jsonl")
-	if err := os.WriteFile(path, recorded[:len(recorded)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	strict := &FileSource{Paths: []string{path}}
-	if err := strict.Run(context.Background(), otrace.NewWriter(&bytes.Buffer{})); !errors.Is(err, otrace.ErrTruncated) {
-		t.Fatalf("got %v, want ErrTruncated", err)
-	}
-	var buf bytes.Buffer
-	w := otrace.NewWriter(&buf)
-	tolerant := &FileSource{Paths: []string{path}, AllowTruncated: true}
-	if err := tolerant.Run(context.Background(), w); err != nil {
-		t.Fatal(err)
-	}
-	w.Close() //nolint:errcheck // buffer writer
-	if buf.Len() == 0 || !bytes.HasPrefix(recorded, buf.Bytes()) {
-		t.Fatal("tolerant replay did not deliver the decodable prefix")
-	}
-}
-
-// TestProbeSourceLoopback: a real loopback probing session runs
-// through the Source interface and reports its trace and detail.
-func TestProbeSourceLoopback(t *testing.T) {
-	e, err := netdyn.NewEchoer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close() //nolint:errcheck // test server
-
-	src := &ProbeSource{Config: netdyn.ProbeConfig{
-		Target: e.Addr().String(),
-		Delta:  2 * time.Millisecond,
-		Count:  50,
-		Drain:  time.Second,
-	}}
-	events := runToJSONL(t, src)
-	if src.Trace() == nil || src.Detail() == nil {
-		t.Fatal("no trace/detail after run")
-	}
-	if got := src.Trace().Len(); got != 50 {
-		t.Fatalf("trace length %d, want 50", got)
-	}
-	if !bytes.Contains(events, []byte(`"ev":"rtt"`)) {
-		t.Fatal("no rtt events in the stream")
-	}
-}
-
 // TestRemoteRoundTrip: sim → Sender → TCP → Serve → Writer produces
 // JSONL byte-identical to the same sim run locally, and the relay's
 // per-source event counter matches.
 func TestRemoteRoundTrip(t *testing.T) {
-	local := runToJSONL(t, &SimSource{Config: simConfig()})
+	local := runToJSONL(t, simConfig(), nil)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -185,7 +66,9 @@ func TestRemoteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&SimSource{Config: simConfig()}).Run(context.Background(), sender); err != nil {
+	cfg := simConfig()
+	cfg.Trace = sender
+	if _, err := core.RunSim(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := sender.Close(); err != nil {
@@ -210,46 +93,50 @@ func TestRemoteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemoteSourceCancelled: cancelling the server context unblocks a
-// pending read on a silent peer.
+// TestRemoteSourceCancelled: closing a server with no grace cancels
+// the pending read on a silent peer, and the connection ends with the
+// cancellation, not the forced read-deadline error it provoked.
 func TestRemoteSourceCancelled(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close() //nolint:errcheck // test listener
+	logs := make(chan string, 16)
+	srv, err := Serve(ln, ServerConfig{
+		Sink:  otrace.NewWriter(&bytes.Buffer{}),
+		Grace: -1,
+		Logf:  func(format string, args ...any) { logs <- fmt.Sprintf(format, args...) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		rs := &RemoteSource{Conn: conn}
-		done <- rs.Run(ctx, otrace.NewWriter(&bytes.Buffer{}))
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck // test peer
-	// Send the magic so the reader gets past the handshake, then go
-	// silent.
+	// Send the magic and one event so the reader gets past the
+	// handshake, then go silent.
 	sender := NewSender(conn)
 	sender.Emit(otrace.Event{Ev: otrace.KindProbeSent})
+	for src := srv.Sources(); len(src) == 0 || src[0].Events == 0; src = srv.Sources() {
+		time.Sleep(time.Millisecond)
+	}
 
-	time.Sleep(20 * time.Millisecond)
-	cancel()
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
 	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
+	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled remote source did not return")
+	}
+	var last string
+	for len(logs) > 0 {
+		last = <-logs
+	}
+	if !strings.HasSuffix(last, context.Canceled.Error()) {
+		t.Fatalf("connection ended with %q, want context.Canceled", last)
 	}
 }
 

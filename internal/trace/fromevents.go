@@ -10,37 +10,22 @@ import (
 	"netprobe/internal/otrace"
 )
 
-// Collector incrementally reconstructs a core.Trace from an otrace
+// collector incrementally reconstructs a core.Trace from an otrace
 // event stream: run_start supplies the metadata the CSV header
 // carries, probe_sent supplies s_n, and rtt supplies r_n and rtt_n; a
 // probe with no rtt event is lost (rtt_n = 0, the paper's convention).
-// Feed it events in stream order with Add and finish with Trace. It is
-// the streaming core of FromEvents, usable where the events arrive
-// live (a replaying FileSource, a relay ingesting a remote prober)
-// rather than from a file.
-//
-// Collector is not safe for concurrent use; errors are sticky — the
-// first malformed event poisons the collection and is reported by both
-// Add and Trace.
-type Collector struct {
-	t   *core.Trace
-	err error
-}
+// Feed it events in stream order with add, which stops at the first
+// malformed one, and finish with trace.
+type collector struct{ t *core.Trace }
 
-// NewCollector returns an empty Collector awaiting a run_start event.
-func NewCollector() *Collector { return &Collector{} }
-
-// Add feeds one event into the reconstruction. Events that carry no
+// add feeds one event into the reconstruction. Events that carry no
 // sample state (enqueue, drop, echo, job brackets, faults, gaps) are
 // ignored.
-func (c *Collector) Add(ev otrace.Event) error {
-	if c.err != nil {
-		return c.err
-	}
+func (c *collector) add(ev otrace.Event) error {
 	switch ev.Ev {
 	case otrace.KindRunStart:
 		if c.t != nil {
-			return c.fail(fmt.Errorf("second run_start event"))
+			return fmt.Errorf("second run_start event")
 		}
 		c.t = &core.Trace{
 			Name:          ev.Name,
@@ -57,13 +42,13 @@ func (c *Collector) Add(ev otrace.Event) error {
 	case otrace.KindProbeSent:
 		s, err := c.sampleFor(ev)
 		if err != nil {
-			return c.fail(err)
+			return err
 		}
 		s.Sent = time.Duration(ev.T)
 	case otrace.KindRTT:
 		s, err := c.sampleFor(ev)
 		if err != nil {
-			return c.fail(err)
+			return err
 		}
 		s.Sent = time.Duration(ev.SentNs)
 		s.Recv = time.Duration(ev.RecvNs)
@@ -73,12 +58,7 @@ func (c *Collector) Add(ev otrace.Event) error {
 	return nil
 }
 
-func (c *Collector) fail(err error) error {
-	c.err = err
-	return err
-}
-
-func (c *Collector) sampleFor(ev otrace.Event) (*core.Sample, error) {
+func (c *collector) sampleFor(ev otrace.Event) (*core.Sample, error) {
 	if c.t == nil {
 		return nil, fmt.Errorf("%s event before run_start", ev.Ev)
 	}
@@ -88,13 +68,9 @@ func (c *Collector) sampleFor(ev otrace.Event) (*core.Sample, error) {
 	return &c.t.Samples[ev.Seq], nil
 }
 
-// Trace returns the validated reconstruction. It fails if no run_start
-// was seen, an event was malformed, or the assembled trace does not
-// validate.
-func (c *Collector) Trace() (*core.Trace, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
+// trace returns the validated reconstruction. It fails if no run_start
+// was seen or the assembled trace does not validate.
+func (c *collector) trace() (*core.Trace, error) {
 	if c.t == nil {
 		return nil, fmt.Errorf("trace: event stream has no run_start")
 	}
@@ -105,16 +81,16 @@ func (c *Collector) Trace() (*core.Trace, error) {
 }
 
 // FromEvents reconstructs the core.Trace of one run from its otrace
-// JSONL event stream via a Collector. The result is validated, and for
+// JSONL event stream via a collector. The result is validated, and for
 // a simulator-produced stream it is sample-for-sample identical to the
 // trace RunSim returned — every figure is re-derivable from the event
 // file alone.
 func FromEvents(r io.Reader) (*core.Trace, error) {
-	c := NewCollector()
-	if err := otrace.Read(r, c.Add); err != nil {
+	var c collector
+	if err := otrace.Read(r, c.add); err != nil {
 		return nil, err
 	}
-	return c.Trace()
+	return c.trace()
 }
 
 // LoadEvents is FromEvents reading from a file.
